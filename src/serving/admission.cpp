@@ -10,6 +10,7 @@
 #include "ir/verifier.hpp"
 #include "midend/midend.hpp"
 #include "midend/substitute.hpp"
+#include "observability/metrics.hpp"
 #include "replay/fault_plan.hpp"
 
 namespace stats::serving {
@@ -109,6 +110,73 @@ AdmissionVerdict
 AdmissionController::validate(const ExecutionPlan &plan,
                               bool run_analysis)
 {
+    std::shared_ptr<const AdmittedModule> admitted;
+    if (plan.kind != JobKind::Benchmark)
+        admitted = admitModule(plan.moduleText, run_analysis);
+    return bindPlan(plan, admitted.get());
+}
+
+std::shared_ptr<const AdmittedModule>
+AdmissionController::admitModule(const std::string &module_text,
+                                 bool run_analysis)
+{
+    // Inline IR: the same gates statscc pipeline applies, reusing the
+    // lint registry and the post-regalloc bytecode verifier at
+    // admission time — a plan in a queue is already known-good.
+    auto admitted = std::make_shared<AdmittedModule>();
+    AdmissionVerdict &verdict = admitted->verdict;
+    std::string parse_error;
+    auto module = ir::tryParseModule(module_text, parse_error);
+    if (!module) {
+        verdict.reason = RejectReason::ParseError;
+        verdict.detail = parse_error;
+        return admitted;
+    }
+    if (const auto problems = ir::verifyModule(*module);
+        !problems.empty()) {
+        verdict.reason = RejectReason::VerifyError;
+        verdict.detail = problems.front();
+        return admitted;
+    }
+    if (module->stateDeps.empty()) {
+        verdict.reason = RejectReason::VerifyError;
+        verdict.detail = "module declares no state dependence";
+        return admitted;
+    }
+    midend::runMiddleEnd(*module);
+    if (const auto problems = ir::verifyModule(*module);
+        !problems.empty()) {
+        verdict.reason = RejectReason::VerifyError;
+        verdict.detail = "midend: " + problems.front();
+        return admitted;
+    }
+    if (run_analysis) {
+        analysis::LintOptions lint;
+        lint.bytecodeVerifier = ir::bc::verifyCompiledModule;
+        const auto diagnostics = analysis::runAnalyses(*module, lint);
+        if (analysis::hasErrors(diagnostics)) {
+            std::ostringstream detail;
+            analysis::writeDiagnosticsText(detail, "plan",
+                                           diagnostics);
+            verdict.reason = RejectReason::AnalysisError;
+            verdict.detail = detail.str();
+        }
+    }
+    // Tradeoff sizes run module code, so only an admitted module has
+    // them evaluated up front (instantiation evaluates them anyway).
+    if (verdict.admitted())
+        for (const auto &meta : module->tradeoffs)
+            admitted->tradeoffSizes.emplace(
+                meta.name, midend::sizeOf(*module, meta));
+    admitted->module =
+        std::make_shared<const ir::Module>(std::move(*module));
+    return admitted;
+}
+
+AdmissionVerdict
+AdmissionController::bindPlan(const ExecutionPlan &plan,
+                              const AdmittedModule *admitted)
+{
     AdmissionVerdict verdict;
     if (const std::string problem = plan.validate(); !problem.empty()) {
         verdict.reason = RejectReason::MalformedPlan;
@@ -138,39 +206,17 @@ AdmissionController::validate(const ExecutionPlan &plan,
         return verdict;
     }
 
-    // Inline IR: the same gates statscc pipeline applies, reusing the
-    // lint registry and the post-regalloc bytecode verifier at
-    // admission time — a plan in a queue is already known-good.
-    std::string parse_error;
-    auto module = ir::tryParseModule(plan.moduleText, parse_error);
-    if (!module) {
-        verdict.reason = RejectReason::ParseError;
-        verdict.detail = parse_error;
-        return verdict;
-    }
-    if (const auto problems = ir::verifyModule(*module);
-        !problems.empty()) {
-        verdict.reason = RejectReason::VerifyError;
-        verdict.detail = problems.front();
-        return verdict;
-    }
-    if (module->stateDeps.empty()) {
-        verdict.reason = RejectReason::VerifyError;
-        verdict.detail = "module declares no state dependence";
-        return verdict;
-    }
-    midend::runMiddleEnd(*module);
-    if (const auto problems = ir::verifyModule(*module);
-        !problems.empty()) {
-        verdict.reason = RejectReason::VerifyError;
-        verdict.detail = "midend: " + problems.front();
-        return verdict;
-    }
+    // A module rejected before the middle end completed has no
+    // module to bind against; a lint rejection ranks below the
+    // binding checks.
+    if (!admitted->module)
+        return admitted->verdict;
+    const ir::Module &module = *admitted->module;
     // The configuration point must bind to real tradeoffs with
     // in-range indices — the back-end treats violations as compiler
     // bugs (panics), so they must never get past admission.
     for (const auto &[name, index] : plan.tradeoffIndices) {
-        const auto *meta = module->findTradeoff(name);
+        const auto *meta = module.findTradeoff(name);
         if (meta == nullptr) {
             verdict.reason = RejectReason::VerifyError;
             verdict.detail =
@@ -178,7 +224,11 @@ AdmissionController::validate(const ExecutionPlan &plan,
                 name + "'";
             return verdict;
         }
-        const std::int64_t size = midend::sizeOf(*module, *meta);
+        const auto known = admitted->tradeoffSizes.find(name);
+        const std::int64_t size =
+            known != admitted->tradeoffSizes.end()
+                ? known->second
+                : midend::sizeOf(module, *meta);
         if (index < 0 || index >= size) {
             verdict.reason = RejectReason::VerifyError;
             verdict.detail = "configuration point index " +
@@ -188,20 +238,32 @@ AdmissionController::validate(const ExecutionPlan &plan,
             return verdict;
         }
     }
-    if (run_analysis) {
-        analysis::LintOptions lint;
-        lint.bytecodeVerifier = ir::bc::verifyCompiledModule;
-        const auto diagnostics = analysis::runAnalyses(*module, lint);
-        if (analysis::hasErrors(diagnostics)) {
-            std::ostringstream detail;
-            analysis::writeDiagnosticsText(detail, "plan",
-                                           diagnostics);
-            verdict.reason = RejectReason::AnalysisError;
-            verdict.detail = detail.str();
-            return verdict;
+    return admitted->verdict;
+}
+
+std::shared_ptr<const AdmittedModule>
+AdmittedModuleTable::admit(const std::string &module_text)
+{
+    auto &metrics = obs::MetricsRegistry::global();
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        if (const auto *hit = _modules.find(module_text)) {
+            metrics.counter("serving.admission.module_hits").add();
+            return *hit;
         }
     }
-    return verdict;
+    metrics.counter("serving.admission.module_misses").add();
+    auto admitted =
+        AdmissionController::admitModule(module_text, _runAnalysis);
+    std::lock_guard<std::mutex> lock(_mutex);
+    return _modules.insert(module_text, std::move(admitted));
+}
+
+std::size_t
+AdmittedModuleTable::size() const
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    return _modules.size();
 }
 
 } // namespace stats::serving

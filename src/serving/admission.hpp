@@ -12,7 +12,10 @@
  *    same gates `statscc` applies: IR parse + verifier + middle-end +
  *    speculation-safety lint + post-regalloc bytecode verifier for
  *    inline-IR plans (docs/ANALYSIS.md), a known benchmark name for
- *    benchmark plans;
+ *    benchmark plans. Split in two pure steps: `admitModule` judges
+ *    the module bytes alone, `bindPlan` checks one plan against an
+ *    admitted module. A server memoizes the first in an
+ *    AdmittedModuleTable, so a known module is admitted once;
  *  - **quota** — a token bucket per tenant (ratePerSec, burst) plus a
  *    bounded per-tenant queue. A request that finds the bucket empty
  *    or the queue full is rejected with a retry-after hint.
@@ -25,10 +28,14 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
+#include "ir/ir.hpp"
 #include "serving/execution_plan.hpp"
+#include "serving/lru.hpp"
 
 namespace stats::serving {
 
@@ -81,6 +88,23 @@ struct AdmissionVerdict
 };
 
 /**
+ * The module-level half of validation: a pure function of the module
+ * bytes and the lint switch, shared by every plan that carries them.
+ */
+struct AdmittedModule
+{
+    /** None, or the ParseError / VerifyError / AnalysisError verdict
+     *  the module earns whatever plan carries it. */
+    AdmissionVerdict verdict;
+    /** Tradeoff name -> value count, the first declaration winning
+     *  as in Module::findTradeoff. Filled for admitted modules. */
+    std::map<std::string, std::int64_t> tradeoffSizes;
+    /** The verified, middle-ended module, frozen; null when parsing
+     *  or verification rejected the module. */
+    std::shared_ptr<const ir::Module> module;
+};
+
+/**
  * The admission controller. Not internally synchronized: the server
  * calls it under its own lock (admission is off the execution hot
  * path — it runs once per request, not per input).
@@ -112,12 +136,30 @@ class AdmissionController
                                 std::size_t queued);
 
     /**
-     * Full semantic validation of a structurally valid plan: IR
-     * pipeline gates or benchmark-name check. Pure (no quota spend).
-     * `runAnalysis` gates the lint stage (statsd --no-analysis).
+     * Full semantic validation of a plan: structural checks, then the
+     * IR pipeline gates or the benchmark-name check. Pure (no quota
+     * spend). `runAnalysis` gates the lint stage (statsd
+     * --no-analysis). Equal to bindPlan(plan, admitModule(...)).
      */
     static AdmissionVerdict validate(const ExecutionPlan &plan,
                                      bool run_analysis);
+
+    /**
+     * Parse, verify, check the state dependence, run the middle end,
+     * verify again, and (when `runAnalysis`) lint with the bytecode
+     * verifier.
+     */
+    static std::shared_ptr<const AdmittedModule>
+    admitModule(const std::string &module_text, bool run_analysis);
+
+    /**
+     * The per-request half: the plan's structural checks, its fault
+     * spec, and the binding of its configuration point, in the order
+     * validate() reports them. `admitted` is admitModule() of the
+     * plan's module text; benchmark plans pass nullptr.
+     */
+    static AdmissionVerdict bindPlan(const ExecutionPlan &plan,
+                                     const AdmittedModule *admitted);
 
   private:
     struct Bucket
@@ -131,6 +173,38 @@ class AdmissionController
     Clock _clock;
     std::map<std::string, TenantQuota> _quotas;
     std::map<std::string, Bucket> _buckets;
+};
+
+/** Bound on the modules one AdmittedModuleTable keeps resident. */
+inline constexpr std::size_t kAdmittedModuleCapacity = 256;
+
+/**
+ * One server's admitted modules: admitModule() memoized by the exact
+ * module bytes in a bounded LRU. Per server, not process-wide,
+ * because the verdict depends on `runAnalysis`. Thread-safe.
+ * Concurrent misses on the same bytes may both compute; the result
+ * is deterministic and the first insert wins.
+ */
+class AdmittedModuleTable
+{
+  public:
+    explicit AdmittedModuleTable(bool run_analysis)
+        : _runAnalysis(run_analysis)
+    {
+    }
+
+    /** The admitted module for `module_text`; computed on a miss. */
+    std::shared_ptr<const AdmittedModule>
+    admit(const std::string &module_text);
+
+    /** Resident entries. */
+    std::size_t size() const;
+
+  private:
+    const bool _runAnalysis;
+    mutable std::mutex _mutex;
+    LruMap<std::shared_ptr<const AdmittedModule>> _modules{
+        kAdmittedModuleCapacity};
 };
 
 } // namespace stats::serving

@@ -1,5 +1,6 @@
 #include "serving/execution_plan.hpp"
 
+#include <atomic>
 #include <sstream>
 
 #include "replay/record_log.hpp"
@@ -52,7 +53,11 @@ getSigned(const std::string &in, std::size_t &pos, std::int64_t &value)
     return true;
 }
 
-/** FNV-1a over a byte string: the compatibility/compile-cache key. */
+/** testonly::forceCompatibilityKey state. */
+std::atomic<bool> gForcedKeySet{false};
+std::atomic<std::uint64_t> gForcedKey{0};
+
+/** FNV-1a over a byte string: the compatibility key. */
 std::uint64_t
 fnv1a(const std::string &bytes)
 {
@@ -135,8 +140,8 @@ ExecutionPlan::validate() const
     return "";
 }
 
-std::uint64_t
-ExecutionPlan::compatibilityKey() const
+std::string
+ExecutionPlan::compatibilityBytes() const
 {
     std::string canon;
     putString(canon, moduleText);
@@ -147,16 +152,38 @@ ExecutionPlan::compatibilityKey() const
     }
     putVarint(canon, static_cast<std::uint64_t>(execTier));
     putVarint(canon, stepBudget);
-    return fnv1a(canon);
+    return canon;
+}
+
+std::uint64_t
+ExecutionPlan::compatibilityKey() const
+{
+    if (gForcedKeySet.load(std::memory_order_relaxed))
+        return gForcedKey.load(std::memory_order_relaxed);
+    return fnv1a(compatibilityBytes());
+}
+
+bool
+ExecutionPlan::batchable() const
+{
+    return kind == JobKind::IrSequential && batchLanes > 1;
 }
 
 bool
 ExecutionPlan::canBatchWith(const ExecutionPlan &other) const
 {
-    return kind == JobKind::IrSequential &&
-           other.kind == JobKind::IrSequential && batchLanes > 1 &&
-           other.batchLanes > 1 &&
-           compatibilityKey() == other.compatibilityKey();
+    return batchable() && other.batchable() &&
+           stepBudget == other.stepBudget &&
+           execTier == other.execTier &&
+           tradeoffIndices == other.tradeoffIndices &&
+           moduleText == other.moduleText;
+}
+
+void
+testonly::forceCompatibilityKey(std::optional<std::uint64_t> key)
+{
+    gForcedKey.store(key.value_or(0), std::memory_order_relaxed);
+    gForcedKeySet.store(key.has_value(), std::memory_order_relaxed);
 }
 
 std::string

@@ -139,13 +139,25 @@ struct ExecutionPlan
     std::string validate() const;
 
     /**
-     * Stable hash of the fields that must agree for two sequential
-     * jobs to share one batch (module text, configuration point,
-     * tier, step budget). Also the compile-cache key.
+     * Canonical bytes of the fields that must agree for two
+     * sequential jobs to share one batch (module text, configuration
+     * point, tier, step budget): the compile-cache key. Exact bytes,
+     * so two programs never share a compiled module.
+     */
+    std::string compatibilityBytes() const;
+
+    /**
+     * 64-bit hash of compatibilityBytes(). A hint only — the
+     * scheduler's in-flight filter compares it, and a collision costs
+     * a wait, never a wrong fusion or a wrong compiled module.
      */
     std::uint64_t compatibilityKey() const;
 
-    /** True when this plan and `other` may be fused into one batch. */
+    /** Sequential with fusion enabled (`batchLanes > 1`). */
+    bool batchable() const;
+
+    /** True when this plan and `other` may be fused into one batch:
+     *  both batchable and equal on every compatibility field. */
     bool canBatchWith(const ExecutionPlan &other) const;
 
     /**
@@ -176,5 +188,16 @@ struct ExecutionPlan
     static std::optional<ExecutionPlan>
     fromText(const std::string &text, std::string &error);
 };
+
+namespace testonly {
+
+/**
+ * Test hook: while set, every plan's compatibilityKey() returns
+ * `key`, forcing different programs onto one key. nullopt restores
+ * the real hash.
+ */
+void forceCompatibilityKey(std::optional<std::uint64_t> key);
+
+} // namespace testonly
 
 } // namespace stats::serving

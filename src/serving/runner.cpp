@@ -9,12 +9,12 @@
 #include "backend/backend.hpp"
 #include "benchmarks/common/benchmark.hpp"
 #include "exec/sim_executor.hpp"
-#include "ir/parser.hpp"
-#include "midend/midend.hpp"
+#include "ir/bytecode.hpp"
 #include "observability/metrics.hpp"
 #include "replay/record_log.hpp"
 #include "replay/session.hpp"
 #include "sdi/spec_engine.hpp"
+#include "serving/admission.hpp"
 #include "support/rng.hpp"
 #include "support/seed_sequence.hpp"
 #include "testing/oracle.hpp"
@@ -80,6 +80,32 @@ encodeSignature(const std::vector<double> &signature)
         replay::putVarint(out, bits);
     }
     return out;
+}
+
+/**
+ * Why `exec` cannot run `fn` as f(integer input, integer state), the
+ * way every served run calls a state dependence; "" when it can. The
+ * interpreter panics on a wrong arity, and the forced bytecode tier
+ * on a call it cannot take.
+ */
+std::string
+callingConventionProblem(const ir::ExecutableModule &exec,
+                         const std::string &fn)
+{
+    if (exec.module().findFunction(fn)->params.size() != 2)
+        return "@" + fn + " must take (input, state)";
+    if (exec.tier() != ir::ExecTier::Bytecode)
+        return "";
+    const ir::bc::BcFunction *compiled = exec.bytecode().find(fn);
+    if (compiled == nullptr || !compiled->compiled)
+        return "@" + fn + " does not compile to bytecode" +
+               (compiled ? ": " + compiled->fallbackReason : "");
+    for (const ir::bc::RegClass param : compiled->paramClasses)
+        if (param == ir::bc::RegClass::Float)
+            return "@" + fn +
+                   " takes a float on the bytecode tier, which served "
+                   "runs call with integers";
+    return "";
 }
 
 long long
@@ -217,66 +243,101 @@ class PlanRunner::ExecLease
 };
 
 std::shared_ptr<PlanRunner::Compiled>
-PlanRunner::compiled(const ExecutionPlan &plan, std::string &error)
+PlanRunner::compiled(const QueuedPlan &queued, std::string &error)
 {
-    // Compilation is serialized under the cache mutex: the lock is
-    // held across parse → middle-end → instantiate so two workers
-    // racing on the same key never compile twice. Execution (the
-    // expensive part) runs outside any runner lock.
-    const std::uint64_t key = plan.compatibilityKey();
-    std::lock_guard<std::mutex> lock(_cacheMutex);
-    if (const auto it = _cache.find(key); it != _cache.end()) {
-        _cacheHits.fetch_add(1, std::memory_order_relaxed);
-        obs::MetricsRegistry::global()
-            .counter("serving.compile_cache_hits")
-            .add();
-        return it->second;
+    // The first thread to miss a key inserts an in-progress slot and
+    // compiles outside the cache mutex; later arrivals for the same
+    // key wait on that slot. So a key never compiles twice, and a
+    // cold compile never stalls hits on other keys.
+    std::string key = queued.plan->compatibilityBytes();
+    std::promise<Outcome> promise;
+    std::shared_future<Outcome> slot;
+    std::size_t evicted = 0;
+    bool owner = false;
+    {
+        std::lock_guard<std::mutex> lock(_cacheMutex);
+        if (const auto *resident = _cache.find(key)) {
+            slot = *resident;
+        } else {
+            slot = promise.get_future().share();
+            _cache.insert(std::move(key), slot, &evicted);
+            owner = true;
+        }
     }
 
-    auto module = ir::tryParseModule(plan.moduleText, error);
-    if (!module)
-        return nullptr;
-    midend::runMiddleEnd(*module);
-    if (module->stateDeps.empty()) {
-        error = "module declares no state dependence";
-        return nullptr;
+    auto &metrics = obs::MetricsRegistry::global();
+    if (owner) {
+        metrics.counter("serving.compile_cache_misses").add();
+        if (evicted > 0)
+            metrics.counter("serving.compile_cache_evictions")
+                .add(static_cast<std::int64_t>(evicted));
+        // Waiters block on this slot, so it is always filled; a
+        // failure is cached like a success (it is deterministic).
+        Outcome outcome;
+        try {
+            outcome = compile(*queued.plan, queued.admitted.get());
+        } catch (const std::exception &e) {
+            outcome.error = e.what();
+        }
+        promise.set_value(std::move(outcome));
+    } else {
+        _cacheHits.fetch_add(1, std::memory_order_relaxed);
+        metrics.counter("serving.compile_cache_hits").add();
     }
+    const Outcome &outcome = slot.get();
+    error = outcome.error;
+    return outcome.compiled;
+}
+
+PlanRunner::Outcome
+PlanRunner::compile(const ExecutionPlan &plan,
+                    const AdmittedModule *admitted)
+{
+    // A plan that did not pass through a server's admission gets the
+    // same module gates here, minus the lint.
+    std::shared_ptr<const AdmittedModule> own;
+    if (admitted == nullptr) {
+        own = AdmissionController::admitModule(plan.moduleText,
+                                               /*run_analysis=*/false);
+        admitted = own.get();
+    }
+    Outcome outcome;
+    if (!admitted->verdict.admitted()) {
+        outcome.error = admitted->verdict.detail;
+        return outcome;
+    }
+    const ir::Module &module = *admitted->module;
 
     backend::BackendConfig config;
     config.execTier = plan.execTier;
     // Admission already linted; skip the per-instantiation audit.
     config.auditRanges = false;
     config.tradeoffIndices = plan.tradeoffIndices;
-    for (const auto &dep : module->stateDeps)
+    for (const auto &dep : module.stateDeps)
         if (!dep.auxFn.empty())
             config.auxiliaryDeps.insert(dep.name);
 
     backend::Executable executable =
-        backend::instantiateExecutable(*module, config);
+        backend::instantiateExecutable(module, config);
     executable.exec->setStepBudget(plan.stepBudget);
+    const ir::StateDepMeta &dep = executable.module->stateDeps.front();
+    for (const std::string *fn : {&dep.computeFn, &dep.auxFn}) {
+        if (fn->empty())
+            continue;
+        outcome.error = callingConventionProblem(*executable.exec, *fn);
+        if (!outcome.error.empty())
+            return outcome;
+    }
 
     auto entry = std::make_shared<Compiled>();
     entry->module = executable.module;
     entry->execTier = plan.execTier;
     entry->stepBudget = plan.stepBudget;
     entry->pool.push_back(std::move(executable.exec));
-    const ir::StateDepMeta &dep = entry->module->stateDeps.front();
     entry->computeFn = dep.computeFn;
     entry->auxFn = dep.auxFn.empty() ? dep.computeFn : dep.auxFn;
-
-    _cache.emplace(key, entry);
-    obs::MetricsRegistry::global()
-        .counter("serving.compile_cache_misses")
-        .add();
-    return entry;
-}
-
-PlanResult
-PlanRunner::runSequential(const ExecutionPlan &plan)
-{
-    std::vector<QueuedPlan> solo(1);
-    solo[0].plan = std::make_shared<const ExecutionPlan>(plan);
-    return std::move(runBatch(solo).front());
+    outcome.compiled = std::move(entry);
+    return outcome;
 }
 
 std::vector<PlanResult>
@@ -285,9 +346,14 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
     std::vector<PlanResult> results(batch.size());
     if (batch.empty())
         return results;
-    if (batch.size() == 1 &&
-        batch.front().plan->kind != JobKind::IrSequential) {
-        results[0] = runPlan(*batch.front().plan);
+    switch (batch.front().plan->kind) {
+      case JobKind::IrSequential:
+        break;
+      case JobKind::IrSpeculative:
+        results[0] = runSpeculative(batch.front());
+        return results;
+      case JobKind::Benchmark:
+        results[0] = runBenchmark(*batch.front().plan);
         return results;
     }
 
@@ -297,7 +363,7 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
     // streams) drop out; scalar call() is the fallback when batching
     // does not apply to the function.
     std::string error;
-    const auto entry = compiled(*batch.front().plan, error);
+    const auto entry = compiled(batch.front(), error);
     if (!entry) {
         for (auto &result : results)
             result.error = error;
@@ -385,11 +451,12 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
 }
 
 PlanResult
-PlanRunner::runSpeculative(const ExecutionPlan &plan)
+PlanRunner::runSpeculative(const QueuedPlan &queued)
 {
+    const ExecutionPlan &plan = *queued.plan;
     PlanResult result;
     std::string error;
-    const auto entry = compiled(plan, error);
+    const auto entry = compiled(queued, error);
     if (!entry) {
         result.error = error;
         return result;
@@ -525,14 +592,11 @@ PlanRunner::runBenchmark(const ExecutionPlan &plan)
 PlanResult
 PlanRunner::runPlan(const ExecutionPlan &plan)
 {
-    switch (plan.kind) {
-      case JobKind::IrSequential:  return runSequential(plan);
-      case JobKind::IrSpeculative: return runSpeculative(plan);
-      case JobKind::Benchmark:     return runBenchmark(plan);
-    }
-    PlanResult result;
-    result.error = "unknown job kind";
-    return result;
+    // A non-owning handle: the plan outlives this call.
+    std::vector<QueuedPlan> solo(1);
+    solo[0].plan = std::shared_ptr<const ExecutionPlan>(
+        std::shared_ptr<const ExecutionPlan>(), &plan);
+    return std::move(runBatch(solo).front());
 }
 
 } // namespace stats::serving

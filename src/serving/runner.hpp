@@ -22,13 +22,17 @@
  *    `statscc run` (virtual time again: the result is a pure
  *    function of the plan).
  *
- * The runner owns a compile cache keyed by the plan compatibility
- * key: parse → middle-end → instantiate happens once per distinct
- * (module text, configuration, tier, budget). Because an
- * ExecutableModule is not internally synchronized, each cache entry
- * keeps a *pool* of instances over the shared frozen module; a
+ * The runner owns a bounded LRU compile cache keyed by the plan's
+ * exact compatibility bytes: instantiation happens once per distinct
+ * (module text, configuration, tier, budget) while it stays
+ * resident. A miss instantiates from the admitted module the server
+ * handed in with the plan (QueuedPlan::admitted); a plan run without
+ * one is admitted here first, through the same admitModule. Because
+ * an ExecutableModule is not internally synchronized, each cache
+ * entry keeps a *pool* of instances over the shared frozen module; a
  * worker leases one for the duration of a dispatch and returns it,
- * so same-key plans still execute concurrently.
+ * so same-key plans still execute concurrently. A lease keeps its
+ * entry alive after eviction.
  *
  * Threading contract: `runPlan`/`runBatch` are safe to call from any
  * number of server worker threads concurrently. Record/replay state
@@ -40,7 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,6 +52,7 @@
 
 #include "sdi/spec_config.hpp"
 #include "serving/execution_plan.hpp"
+#include "serving/lru.hpp"
 #include "serving/scheduler.hpp"
 
 namespace stats::serving {
@@ -79,6 +84,9 @@ struct PlanResult
     int batchedLanes = 1;
 };
 
+/** Bound on the compiled configurations one runner keeps resident. */
+inline constexpr std::size_t kCompileCacheCapacity = 256;
+
 class PlanRunner
 {
   public:
@@ -108,14 +116,23 @@ class PlanRunner
     struct Compiled;
     class ExecLease;
 
-    std::shared_ptr<Compiled> compiled(const ExecutionPlan &plan,
+    /** A compiled configuration, or why there is none. */
+    struct Outcome
+    {
+        std::shared_ptr<Compiled> compiled;
+        std::string error;
+    };
+
+    std::shared_ptr<Compiled> compiled(const QueuedPlan &queued,
                                        std::string &error);
-    PlanResult runSequential(const ExecutionPlan &plan);
-    PlanResult runSpeculative(const ExecutionPlan &plan);
+    static Outcome compile(const ExecutionPlan &plan,
+                           const AdmittedModule *admitted);
+    PlanResult runSpeculative(const QueuedPlan &queued);
     PlanResult runBenchmark(const ExecutionPlan &plan);
 
     mutable std::mutex _cacheMutex;
-    std::map<std::uint64_t, std::shared_ptr<Compiled>> _cache;
+    /** Per-key slots, each filled once by the thread that missed. */
+    LruMap<std::shared_future<Outcome>> _cache{kCompileCacheCapacity};
     std::atomic<std::uint64_t> _cacheHits{0};
 };
 

@@ -49,12 +49,15 @@ PlanScheduler::insertByPriority(TenantState &state, QueuedPlan item)
 
 void
 PlanScheduler::enqueue(std::uint64_t request_id,
-                       std::shared_ptr<const ExecutionPlan> plan)
+                       std::shared_ptr<const ExecutionPlan> plan,
+                       std::shared_ptr<const AdmittedModule> admitted)
 {
     TenantState &state = stateFor(plan->tenant);
     QueuedPlan item;
     item.requestId = request_id;
+    item.key = plan->compatibilityKey();
     item.plan = std::move(plan);
+    item.admitted = std::move(admitted);
     item.seq = _nextSeq++;
     insertByPriority(state, std::move(item));
     obs::MetricsRegistry::global()
@@ -85,15 +88,15 @@ PlanScheduler::totalQueued() const
 }
 
 bool
-PlanScheduler::isBlocked(const ExecutionPlan &plan,
+PlanScheduler::isBlocked(const QueuedPlan &queued,
                          const std::set<std::uint64_t> &blocked_keys)
 {
     // Only batchable plans yield to an in-flight same-key batch:
     // holding them back lets same-key arrivals accumulate into one
     // bigger fusion. Non-batchable plans run concurrently freely
     // (the runner leases a private ExecutableModule per dispatch).
-    return !blocked_keys.empty() && plan.canBatchWith(plan) &&
-           blocked_keys.count(plan.compatibilityKey()) != 0;
+    return !blocked_keys.empty() && queued.plan->batchable() &&
+           blocked_keys.count(queued.key) != 0;
 }
 
 bool
@@ -102,7 +105,7 @@ PlanScheduler::dispatchable(
 {
     for (const auto &[tenant, state] : _tenants)
         for (const auto &queued : state.queue)
-            if (!isBlocked(*queued.plan, blocked_keys))
+            if (!isBlocked(queued, blocked_keys))
                 return true;
     return false;
 }
@@ -137,7 +140,7 @@ PlanScheduler::nextBatch(const std::set<std::uint64_t> &blocked_keys)
         const auto eligible = std::find_if(
             state.queue.begin(), state.queue.end(),
             [&](const QueuedPlan &queued) {
-                return !isBlocked(*queued.plan, blocked_keys);
+                return !isBlocked(queued, blocked_keys);
             });
         if (eligible == state.queue.end()) {
             _rrIndex = (_rrIndex + 1) % _rotation.size();
@@ -162,7 +165,8 @@ PlanScheduler::nextBatch(const std::set<std::uint64_t> &blocked_keys)
     selected->deficit -= 1.0;
 
     const ExecutionPlan &head = *batch.front().plan;
-    if (head.canBatchWith(head)) {
+    const std::uint64_t head_key = batch.front().key;
+    if (head.batchable()) {
         // Batchable: fuse compatible plans — the owning tenant's
         // queue first, then the rotation — up to the smallest
         // batchLanes cap among the members.
@@ -174,7 +178,8 @@ PlanScheduler::nextBatch(const std::set<std::uint64_t> &blocked_keys)
                 // A candidate may only join if the batch, itself
                 // included, fits under the smallest lane cap among
                 // the members-so-far AND the candidate's own.
-                if (head.canBatchWith(*it->plan) &&
+                if (it->key == head_key &&
+                    head.canBatchWith(*it->plan) &&
                     static_cast<int>(batch.size()) <
                         std::min(cap, it->plan->batchLanes)) {
                     cap = std::min(cap, it->plan->batchLanes);

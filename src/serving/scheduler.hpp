@@ -24,7 +24,9 @@
  * key is already running is skipped — letting same-key arrivals
  * accumulate into one bigger fusion instead of racing it — while
  * plans under other keys (and all non-batchable plans) dispatch
- * normally. A skip never charges the tenant's deficit.
+ * normally. A skip never charges the tenant's deficit. The key is a
+ * 64-bit hash computed once at enqueue: a collision only delays a
+ * plan, while fusion itself compares the plans' fields.
  *
  * Not internally synchronized — the server owns the lock (the
  * scheduler runs on the server's worker threads plus, for enqueue,
@@ -46,11 +48,18 @@
 
 namespace stats::serving {
 
+struct AdmittedModule;
+
 /** One admitted plan waiting for (or selected for) dispatch. */
 struct QueuedPlan
 {
     std::uint64_t requestId = 0;
     std::shared_ptr<const ExecutionPlan> plan;
+    /** The plan's admitted module (IR kinds), when admission had one:
+     *  the runner compiles from it instead of re-parsing. */
+    std::shared_ptr<const AdmittedModule> admitted;
+    /** plan->compatibilityKey(), computed once at enqueue. */
+    std::uint64_t key = 0;
     /** Admission order, for FIFO within a priority level. */
     std::uint64_t seq = 0;
 };
@@ -72,7 +81,8 @@ class PlanScheduler
 
     /** Queue an admitted plan (emits PlanEnqueued). */
     void enqueue(std::uint64_t request_id,
-                 std::shared_ptr<const ExecutionPlan> plan);
+                 std::shared_ptr<const ExecutionPlan> plan,
+                 std::shared_ptr<const AdmittedModule> admitted = {});
 
     /** Plans currently queued for `tenant`. */
     std::size_t queuedFor(const std::string &tenant) const;
@@ -98,8 +108,8 @@ class PlanScheduler
     dispatchable(const std::set<std::uint64_t> &blocked_keys) const;
 
   private:
-    /** True when `plan` must yield to an in-flight same-key batch. */
-    static bool isBlocked(const ExecutionPlan &plan,
+    /** True when `queued` must yield to an in-flight same-key batch. */
+    static bool isBlocked(const QueuedPlan &queued,
                           const std::set<std::uint64_t> &blocked_keys);
     struct TenantState
     {

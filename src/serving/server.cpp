@@ -73,9 +73,11 @@ Server::Server(Options options)
       _admission(_options.defaultQuota,
                  _options.clock ? _options.clock
                                 : std::function<double()>(steadySeconds)),
+      _modules(_options.runAnalysis),
       _scheduler(_options.quantum,
                  _options.clock ? _options.clock
-                                : std::function<double()>(steadySeconds))
+                                : std::function<double()>(steadySeconds)),
+      _resultCache(_options.resultCacheCapacity)
 {
     const std::size_t workers = _options.executionWorkers > 0
                                     ? _options.executionWorkers
@@ -133,8 +135,8 @@ Server::submitPlan(const ExecutionPlan &plan)
     const double now =
         _options.clock ? _options.clock() : steadySeconds();
 
-    // Semantic validation runs outside the lock — it parses and lints
-    // the module, by far the heaviest admission stage.
+    // Semantic validation runs outside the lock: a module's first
+    // admission parses and lints it, by far the heaviest stage.
     bool draining_snapshot;
     {
         std::lock_guard<std::mutex> lock(_mutex);
@@ -146,8 +148,11 @@ Server::submitPlan(const ExecutionPlan &plan)
         countRejection(0, outcome.verdict, now);
         return outcome;
     }
+    std::shared_ptr<const AdmittedModule> admitted;
+    if (plan.kind != JobKind::Benchmark)
+        admitted = _modules.admit(plan.moduleText);
     outcome.verdict =
-        AdmissionController::validate(plan, _options.runAnalysis);
+        AdmissionController::bindPlan(plan, admitted.get());
     if (!outcome.verdict.admitted()) {
         countRejection(0, outcome.verdict, now);
         return outcome;
@@ -178,7 +183,8 @@ Server::submitPlan(const ExecutionPlan &plan)
             auto shared =
                 std::make_shared<const ExecutionPlan>(plan);
             if (cacheable) {
-                if (const PlanResult *hit = cacheLookup(cache_key)) {
+                if (const PlanResult *hit =
+                        _resultCache.find(cache_key)) {
                     // Served from cache: the request completes at
                     // admission time, byte-identical to a recompute
                     // (the cached entry holds result and RecordLog
@@ -190,7 +196,7 @@ Server::submitPlan(const ExecutionPlan &plan)
                     finishRequest(request_id, *hit);
                     cache_hit = true;
                     ++_cacheHits;
-                    cache_entries = _cacheLru.size();
+                    cache_entries = _resultCache.size();
                 }
             }
             if (!cache_hit) {
@@ -198,7 +204,8 @@ Server::submitPlan(const ExecutionPlan &plan)
                 request.state = RequestState::Queued;
                 request.plan = shared;
                 _requests.emplace(request_id, std::move(request));
-                _scheduler.enqueue(request_id, std::move(shared));
+                _scheduler.enqueue(request_id, std::move(shared),
+                                   std::move(admitted));
                 obs::MetricsRegistry::global()
                     .gauge("serving.queue_depth")
                     .set(static_cast<double>(
@@ -304,7 +311,7 @@ std::size_t
 Server::resultCacheSize() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    return _cacheLru.size();
+    return _resultCache.size();
 }
 
 std::uint64_t
@@ -314,39 +321,20 @@ Server::resultCacheHits() const
     return _cacheHits;
 }
 
-const PlanResult *
-Server::cacheLookup(const std::string &key)
-{
-    const auto it = _cacheIndex.find(key);
-    if (it == _cacheIndex.end())
-        return nullptr;
-    _cacheLru.splice(_cacheLru.begin(), _cacheLru, it->second);
-    return &it->second->second;
-}
-
 void
-Server::cacheStore(const std::string &key, const PlanResult &result)
+Server::cacheStore(std::string key, const PlanResult &result)
 {
-    if (const auto it = _cacheIndex.find(key);
-        it != _cacheIndex.end()) {
-        // A concurrent worker (or an earlier lane of this batch)
-        // already filled the entry; results are deterministic, so
-        // just refresh recency.
-        _cacheLru.splice(_cacheLru.begin(), _cacheLru, it->second);
-        return;
-    }
-    _cacheLru.emplace_front(key, result);
-    _cacheIndex.emplace(key, _cacheLru.begin());
-    while (_cacheLru.size() > _options.resultCacheCapacity) {
-        _cacheIndex.erase(_cacheLru.back().first);
-        _cacheLru.pop_back();
-        obs::MetricsRegistry::global()
-            .counter("serving.cache.evictions")
-            .add();
-    }
-    obs::MetricsRegistry::global()
-        .gauge("serving.cache.size")
-        .set(static_cast<double>(_cacheLru.size()));
+    // A concurrent worker (or an earlier lane of this batch) may
+    // already have filled the entry; results are deterministic, so
+    // the insert then only refreshes recency.
+    std::size_t evicted = 0;
+    _resultCache.insert(std::move(key), result, &evicted);
+    auto &metrics = obs::MetricsRegistry::global();
+    if (evicted > 0)
+        metrics.counter("serving.cache.evictions")
+            .add(static_cast<std::int64_t>(evicted));
+    metrics.gauge("serving.cache.size")
+        .set(static_cast<double>(_resultCache.size()));
 }
 
 void
@@ -386,10 +374,8 @@ Server::workerLoop()
         for (const auto &member : batch)
             _requests.at(member.requestId).state =
                 RequestState::Running;
-        const ExecutionPlan &head = *batch.front().plan;
-        const bool key_held = head.canBatchWith(head);
-        const std::uint64_t key =
-            key_held ? head.compatibilityKey() : 0;
+        const bool key_held = batch.front().plan->batchable();
+        const std::uint64_t key = batch.front().key;
         if (key_held)
             _inFlightKeys.insert(key);
         _runningPlans += batch.size();

@@ -14,6 +14,12 @@
  * running at once — late same-key arrivals accumulate into one
  * bigger fusion instead.
  *
+ * Admission consults the server's **admitted-module table**
+ * (AdmittedModuleTable, keyed by the exact module bytes): a known
+ * module skips parse, middle end and lint, while the plan-level checks
+ * run on every request. The runner compiles from the same table
+ * entry.
+ *
  * Results of cacheable plans land in a bounded LRU **result cache**
  * keyed by (plan fingerprint, root seed): a later submission of the
  * same work completes at admission time, byte-identical to a
@@ -32,18 +38,17 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "serving/admission.hpp"
 #include "serving/execution_plan.hpp"
+#include "serving/lru.hpp"
 #include "serving/runner.hpp"
 #include "serving/scheduler.hpp"
 
@@ -163,30 +168,26 @@ class Server
         PlanResult result;
     };
 
-    using CacheList = std::list<std::pair<std::string, PlanResult>>;
-
     void workerLoop();
     /** Registry bookkeeping for one finished request (lock held). */
     void finishRequest(std::uint64_t request_id, PlanResult result);
-    /** LRU lookup; nullptr on miss (lock held). */
-    const PlanResult *cacheLookup(const std::string &key);
-    /** LRU insert/update + eviction (lock held). */
-    void cacheStore(const std::string &key, const PlanResult &result);
+    /** Result-cache insert + eviction (lock held). */
+    void cacheStore(std::string key, const PlanResult &result);
 
     Options _options;
     mutable std::mutex _mutex;
     std::condition_variable _wake;     ///< Worker wake-up.
     std::condition_variable _idle;     ///< drain() waits here.
     AdmissionController _admission;
+    /** Synchronized on its own; consulted outside `_mutex`. */
+    AdmittedModuleTable _modules;
     PlanScheduler _scheduler;
     PlanRunner _runner;
     std::map<std::uint64_t, Request> _requests;
     /** Finished ids, oldest first — the eviction order. */
     std::deque<std::uint64_t> _finishedOrder;
 
-    /** MRU-first result cache + index into it. */
-    CacheList _cacheLru;
-    std::unordered_map<std::string, CacheList::iterator> _cacheIndex;
+    LruMap<PlanResult> _resultCache;
     std::uint64_t _cacheHits = 0;
 
     /** Compatibility keys of in-flight *batchable* dispatches. */

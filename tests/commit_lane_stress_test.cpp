@@ -275,8 +275,9 @@ TEST(CommitLaneStress, MismatchStormsPreserveCommitOrder)
         // Group 0 commits without validation; every other committed
         // group passed exactly one successful validation.
         EXPECT_EQ(commits, stats.validations + 1) << "seed " << seed;
-        if (stats.aborts > 0)
+        if (stats.aborts > 0) {
             EXPECT_GT(stats.squashedGroups, 0) << "seed " << seed;
+        }
 
         // The committed path flowed through the lock-free lane.
         EXPECT_GT(ex.commitStats().laneEnqueues, 0u);

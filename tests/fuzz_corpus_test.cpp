@@ -56,8 +56,9 @@ TEST(FuzzCorpus, EveryCaseReplaysClean)
         const st::OracleResult result = st::runOracle(*fuzz_case);
         EXPECT_TRUE(result.ok) << result.failKind << " at "
                                << result.stage << ": " << result.detail;
-        if (fuzz_case->expect == st::Expectation::Reject)
+        if (fuzz_case->expect == st::Expectation::Reject) {
             EXPECT_TRUE(result.rejected);
+        }
     }
 }
 

@@ -135,10 +135,11 @@ drainChecked(PlanScheduler &scheduler, const std::string &tag,
         EXPECT_LE(unit.size(),
                   static_cast<std::size_t>(std::max(1, min_lanes)))
             << tag;
-        if (unit.size() > 1)
+        if (unit.size() > 1) {
             EXPECT_TRUE(
                 unit.front().plan->canBatchWith(*unit.front().plan))
                 << tag << ": multi-plan batch of unbatchable plans";
+        }
     }
 }
 

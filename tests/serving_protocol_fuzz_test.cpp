@@ -280,9 +280,10 @@ TEST(ProtocolFuzzTest, TextPlanDecoderSurvivesCorruption)
             1 << rng.uniformInt(0, 7));
         std::string flip_error;
         const auto plan = ExecutionPlan::fromText(mutated, flip_error);
-        if (!plan)
+        if (!plan) {
             EXPECT_FALSE(flip_error.empty())
                 << "rejection without a diagnostic at byte " << byte;
+        }
     }
 
     // Random truncation at a line boundary must parse or reject

@@ -16,8 +16,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "observability/metrics.hpp"
 #include "replay/record_log.hpp"
 #include "replay/session.hpp"
 #include "serving/admission.hpp"
@@ -65,6 +68,57 @@ const char *const kFixtureModule =
     "  %a = add i64 %state, %input\n"
     "  ret i64 %a\n"
     "}\n";
+
+/** A second program with the fixture's signature. */
+const char *const kAffineModule =
+    "module \"serving_affine\"\n"
+    "statedep SD0 compute=@computeOutput\n"
+    "\n"
+    "func @computeOutput(i64 %input, i64 %state) -> i64 {\n"
+    "entry:\n"
+    "  %a = mul i64 %state, 3\n"
+    "  %b = add i64 %a, %input\n"
+    "  ret i64 %b\n"
+    "}\n";
+
+/** Runnable, but its auxiliary code calls an effectful builtin: the
+ *  lint rejects it, a server without the lint admits it. */
+const char *const kImpureAuxModule =
+    "module \"serving_impure_aux\"\n"
+    "statedep SD0 compute=@computeOutput aux=@computeOutput__aux0\n"
+    "auxclone computeOutput__aux0 origin=@computeOutput "
+    "statedep=SD0\n"
+    "\n"
+    "func @computeOutput(i64 %input, i64 %state) -> i64 {\n"
+    "entry:\n"
+    "  %a = add i64 %state, %input\n"
+    "  ret i64 %a\n"
+    "}\n"
+    "\n"
+    "func @computeOutput__aux0(i64 %input, i64 %state) -> i64 {\n"
+    "entry:\n"
+    "  %noise = call f64 @rand_uniform\n"
+    "  %a = add i64 %state, %input\n"
+    "  ret i64 %a\n"
+    "}\n";
+
+/** The fixture program with its increment set to `n`: a distinct
+ *  module per `n`. */
+std::string
+numberedModule(std::size_t n)
+{
+    return "module \"serving_numbered\"\n"
+           "statedep SD0 compute=@computeOutput\n"
+           "\n"
+           "func @computeOutput(i64 %input, i64 %state) -> i64 {\n"
+           "entry:\n"
+           "  %a = add i64 %state, " +
+           std::to_string(n) +
+           "\n"
+           "  %b = add i64 %a, %input\n"
+           "  ret i64 %b\n"
+           "}\n";
+}
 
 std::string
 readFile(const std::string &path)
@@ -136,6 +190,41 @@ goldenPlan()
     plan.recordChoices = false;
     plan.noCache = true;
     return plan;
+}
+
+/** Server options with quotas that never push back. */
+Server::Options
+openOptions(bool run_analysis)
+{
+    Server::Options options;
+    options.runAnalysis = run_analysis;
+    options.defaultQuota.ratePerSec = 1e9;
+    options.defaultQuota.burst = 1e9;
+    options.defaultQuota.maxQueued = 1 << 20;
+    return options;
+}
+
+/** Every module under examples/ir/, clean and bad/, in path order. */
+std::vector<std::string>
+exampleModules()
+{
+    std::vector<std::string> paths;
+    for (const char *dir : {"examples/ir", "examples/ir/bad"})
+        for (const auto &entry :
+             std::filesystem::directory_iterator(sourcePath(dir)))
+            if (entry.path().extension() == ".ir")
+                paths.push_back(entry.path().string());
+    std::sort(paths.begin(), paths.end());
+    std::vector<std::string> modules;
+    for (const auto &path : paths)
+        modules.push_back(readFile(path));
+    return modules;
+}
+
+std::int64_t
+counterValue(const char *name)
+{
+    return obs::MetricsRegistry::global().counter(name).value();
 }
 
 QueuedPlan
@@ -270,6 +359,61 @@ TEST(ExecutionPlanTest, CompatibilityKeySeparatesPrograms)
     EXPECT_FALSE(a.canBatchWith(specPlan()));
 }
 
+/** Forces every plan onto one compatibility key while alive. */
+class ForcedKeyCollision
+{
+  public:
+    ForcedKeyCollision()
+    {
+        serving::testonly::forceCompatibilityKey(0x5eed);
+    }
+    ~ForcedKeyCollision()
+    {
+        serving::testonly::forceCompatibilityKey(std::nullopt);
+    }
+};
+
+TEST(ExecutionPlanTest, KeyCollisionNeitherSharesACompiledModuleNorFuses)
+{
+    const ExecutionPlan add = seqPlan(5);
+    ExecutionPlan affine = seqPlan(5);
+    affine.moduleText = kAffineModule;
+    const PlanResult add_alone = PlanRunner().runPlan(add);
+    const PlanResult affine_alone = PlanRunner().runPlan(affine);
+    ASSERT_TRUE(add_alone.ok && affine_alone.ok);
+    ASSERT_NE(add_alone.resultBlob, affine_alone.resultBlob);
+
+    const ForcedKeyCollision collision;
+    ASSERT_EQ(add.compatibilityKey(), affine.compatibilityKey());
+    EXPECT_FALSE(add.canBatchWith(affine));
+
+    PlanScheduler scheduler;
+    scheduler.enqueue(1, std::make_shared<const ExecutionPlan>(add));
+    scheduler.enqueue(2, std::make_shared<const ExecutionPlan>(affine));
+    EXPECT_EQ(scheduler.nextBatch().size(), 1u);
+    EXPECT_EQ(scheduler.nextBatch().size(), 1u);
+
+    PlanRunner runner;
+    EXPECT_EQ(runner.runPlan(add).resultBlob, add_alone.resultBlob);
+    EXPECT_EQ(runner.runPlan(affine).resultBlob,
+              affine_alone.resultBlob);
+    EXPECT_EQ(runner.cacheSize(), 2u);
+    EXPECT_EQ(runner.cacheHits(), 0u);
+
+    Server server;
+    const auto first = server.submitPlan(add);
+    const auto second = server.submitPlan(affine);
+    ASSERT_TRUE(first.admitted() && second.admitted());
+    server.drain();
+    const auto add_served = server.status(first.requestId);
+    const auto affine_served = server.status(second.requestId);
+    EXPECT_EQ(add_served.result.resultBlob, add_alone.resultBlob);
+    EXPECT_EQ(affine_served.result.resultBlob,
+              affine_alone.resultBlob);
+    EXPECT_EQ(add_served.result.batchedLanes, 1);
+    EXPECT_EQ(affine_served.result.batchedLanes, 1);
+}
+
 // ========================================================= Admission
 
 TEST(AdmissionTest, ValidatesInlineIrThroughTheCompilerGates)
@@ -337,6 +481,123 @@ TEST(AdmissionTest, UnknownBenchmarkAndBadFaultSpecAreRejected)
     faulty.faults = "not a fault spec";
     EXPECT_EQ(AdmissionController::validate(faulty, true).reason,
               RejectReason::MalformedPlan);
+}
+
+TEST(AdmissionTest, ServerVerdictsEqualStaticValidateOnEverySubmit)
+{
+    // Every example module under the plain and speculative fixture
+    // plans and under both serving goldens, plus the goldens as
+    // checked in.
+    std::string error;
+    std::vector<ExecutionPlan> bases = {seqPlan(), specPlan()};
+    const auto golden_binary = ExecutionPlan::load(
+        readFile(sourcePath("tests/golden/serving_plan.stpl")), error);
+    const auto golden_text = ExecutionPlan::fromText(
+        readFile(sourcePath("tests/golden/serving_plan.txt")), error);
+    ASSERT_TRUE(golden_binary && golden_text) << error;
+    bases.push_back(*golden_binary);
+    bases.push_back(*golden_text);
+    std::vector<ExecutionPlan> plans = {*golden_binary, *golden_text};
+    // A lint-failing module under a bad tradeoff index: the binding
+    // check ranks first.
+    ExecutionPlan lint_and_index = seqPlan();
+    lint_and_index.moduleText = readFile(
+        sourcePath("examples/ir/bad/bad_divergent_clone.ir"));
+    lint_and_index.tradeoffIndices = {{"aux::T_9", 1000}};
+    ASSERT_EQ(AdmissionController::validate(lint_and_index, true).reason,
+              RejectReason::VerifyError);
+    plans.push_back(lint_and_index);
+    for (const std::string &module : exampleModules())
+        for (ExecutionPlan plan : bases) {
+            plan.moduleText = module;
+            plans.push_back(plan);
+        }
+
+    Server server(openOptions(true));
+    for (int round = 0; round < 2; ++round)
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            const AdmissionVerdict expected =
+                AdmissionController::validate(plans[i], true);
+            const AdmissionVerdict served =
+                server.submitPlan(plans[i]).verdict;
+            EXPECT_EQ(served.reason, expected.reason)
+                << "plan " << i << ", round " << round;
+            EXPECT_EQ(served.detail, expected.detail)
+                << "plan " << i << ", round " << round;
+        }
+    server.drain();
+}
+
+TEST(AdmissionTest, PlanChecksRunAgainstACachedModule)
+{
+    Server server(openOptions(true));
+    ExecutionPlan good = seqPlan();
+    good.moduleText = readFile(sourcePath("examples/ir/pipeline.ir"));
+    good.tradeoffIndices = {{"aux::T_42", 4}};
+    ASSERT_TRUE(server.submitPlan(good).admitted());
+
+    ExecutionPlan bad_index = good;
+    bad_index.tradeoffIndices = {{"aux::T_42", 10}};
+    ExecutionPlan unknown = good;
+    unknown.tradeoffIndices = {{"aux::T_99", 0}};
+    ExecutionPlan bad_faults = good;
+    bad_faults.faults = "not a fault spec";
+    const std::int64_t hits_before =
+        counterValue("serving.admission.module_hits");
+    for (const ExecutionPlan *plan : {&bad_index, &unknown, &bad_faults}) {
+        const AdmissionVerdict expected =
+            AdmissionController::validate(*plan, true);
+        const AdmissionVerdict served = server.submitPlan(*plan).verdict;
+        EXPECT_EQ(served.reason, expected.reason);
+        EXPECT_EQ(served.detail, expected.detail);
+    }
+    EXPECT_EQ(server.submitPlan(bad_index).verdict.reason,
+              RejectReason::VerifyError);
+    EXPECT_EQ(server.submitPlan(bad_faults).verdict.reason,
+              RejectReason::MalformedPlan);
+    // All five were judged against the module admitted first.
+    EXPECT_EQ(counterValue("serving.admission.module_hits") -
+                  hits_before,
+              5);
+    server.drain();
+}
+
+TEST(AdmissionTest, ServersWithAndWithoutLintNeverShareAVerdict)
+{
+    ExecutionPlan plan = seqPlan();
+    plan.moduleText = kImpureAuxModule;
+    ASSERT_EQ(AdmissionController::validate(plan, true).reason,
+              RejectReason::AnalysisError);
+    ASSERT_TRUE(AdmissionController::validate(plan, false).admitted());
+
+    Server linting(openOptions(true));
+    Server trusting(openOptions(false));
+    for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(linting.submitPlan(plan).verdict.reason,
+                  RejectReason::AnalysisError)
+            << "round " << round;
+        EXPECT_TRUE(trusting.submitPlan(plan).admitted())
+            << "round " << round;
+    }
+    linting.drain();
+    trusting.drain();
+}
+
+TEST(AdmissionTest, AdmittedModuleTableIsBoundedAndSharesEntries)
+{
+    serving::AdmittedModuleTable table(true);
+    const auto first = table.admit(kFixtureModule);
+    ASSERT_TRUE(first->verdict.admitted()) << first->verdict.detail;
+    EXPECT_EQ(table.admit(kFixtureModule), first);
+    for (std::size_t n = 0; n < serving::kAdmittedModuleCapacity + 8;
+         ++n) {
+        ASSERT_TRUE(table.admit(numberedModule(n))->verdict.admitted());
+        ASSERT_LE(table.size(), serving::kAdmittedModuleCapacity);
+    }
+    // Evicted: admitted afresh, to the same verdict.
+    const auto again = table.admit(kFixtureModule);
+    EXPECT_NE(again, first);
+    EXPECT_TRUE(again->verdict.admitted());
 }
 
 TEST(AdmissionTest, TokenBucketEnforcesRateAndRefillsOverTime)
@@ -534,6 +795,62 @@ TEST(RunnerTest, CompileCacheIsKeyedByCompatibility)
     bytecode.execTier = ir::ExecTier::Bytecode;
     EXPECT_TRUE(runner.runPlan(bytecode).ok);
     EXPECT_EQ(runner.cacheSize(), 2u); // Tier is part of the key.
+}
+
+TEST(RunnerTest, CompileCacheIsBoundedAndRecompilesIdentically)
+{
+    PlanRunner runner;
+    const PlanResult first = runner.runPlan(seqPlan(3));
+    ASSERT_TRUE(first.ok) << first.error;
+    for (std::size_t n = 0; n < serving::kCompileCacheCapacity + 8;
+         ++n) {
+        ExecutionPlan other = seqPlan(3);
+        other.moduleText = numberedModule(n);
+        ASSERT_TRUE(runner.runPlan(other).ok);
+        ASSERT_LE(runner.cacheSize(), serving::kCompileCacheCapacity);
+    }
+    // The first module was evicted: this run recompiles it.
+    const std::uint64_t hits = runner.cacheHits();
+    const PlanResult again = runner.runPlan(seqPlan(3));
+    EXPECT_EQ(runner.cacheHits(), hits);
+    ASSERT_TRUE(again.ok) << again.error;
+    EXPECT_EQ(again.resultBlob, first.resultBlob);
+    EXPECT_EQ(again.recordLog, first.recordLog);
+    EXPECT_EQ(again.finalState, first.finalState);
+}
+
+TEST(RunnerTest, ConcurrentMissesOnOneKeyCompileOnce)
+{
+    PlanRunner runner;
+    std::vector<PlanResult> results(4);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < results.size(); ++i)
+        threads.emplace_back(
+            [&, i] { results[i] = runner.runPlan(specPlan(8)); });
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(runner.cacheSize(), 1u);
+    EXPECT_EQ(runner.cacheHits(), results.size() - 1);
+    for (const auto &result : results) {
+        ASSERT_TRUE(result.ok) << result.error;
+        EXPECT_EQ(result.resultBlob, results.front().resultBlob);
+    }
+}
+
+TEST(RunnerTest, MismatchedComputeSignatureFailsTheRun)
+{
+    // The unfrozen-tradeoff example passes admission, but its compute
+    // function takes one argument: the run fails instead of
+    // panicking the interpreter.
+    ExecutionPlan plan = seqPlan();
+    plan.moduleText = readFile(
+        sourcePath("examples/ir/bad/bad_unfrozen_tradeoff.ir"));
+    ASSERT_TRUE(AdmissionController::validate(plan, true).admitted());
+    const PlanResult result = PlanRunner().runPlan(plan);
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("must take (input, state)"),
+              std::string::npos)
+        << result.error;
 }
 
 TEST(RunnerTest, ExecTierDoesNotChangeResultBytes)
