@@ -2,7 +2,7 @@
  * @file
  * Analyzer diagnostics: a typed finding with a stable rule ID, a
  * severity, and a source location, plus the text / JSON renderers
- * shared by `statscc analyze` and `stats-lint`.
+ * used by `statscc analyze`.
  *
  * The rule registry below is the canonical list; docs/ANALYSIS.md
  * documents every entry and a test keeps the two in lockstep.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Analysis driver shared by `statscc analyze` and `stats-lint`: runs
+ * Analysis driver behind `statscc analyze` (and admission): runs
  * the structural verifier (as rule VER01) and the semantic passes
  * (purity, clone-audit, freeze, escape) over a module and returns the
  * combined, deterministically-ordered diagnostic list.

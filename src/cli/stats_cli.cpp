@@ -24,51 +24,18 @@
 
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "serving/client.hpp"
 #include "serving/execution_plan.hpp"
-#include "support/string_utils.hpp"
+#include "support/cli_args.hpp"
 
 using namespace stats;
+using support::CliArgs;
 
 namespace {
-
-struct Args
-{
-    std::vector<std::string> positional;
-    std::map<std::string, std::string> options;
-
-    std::string
-    option(const std::string &key, const std::string &fallback) const
-    {
-        auto it = options.find(key);
-        return it == options.end() ? fallback : it->second;
-    }
-};
-
-Args
-parseArgs(int argc, char **argv)
-{
-    Args args;
-    for (int i = 2; i < argc; ++i) {
-        const std::string word = argv[i];
-        if (support::startsWith(word, "--")) {
-            const auto eq = word.find('=');
-            if (eq == std::string::npos)
-                args.options[word.substr(2)] = "true";
-            else
-                args.options[word.substr(2, eq - 2)] =
-                    word.substr(eq + 1);
-        } else {
-            args.positional.push_back(word);
-        }
-    }
-    return args;
-}
 
 void
 usage()
@@ -121,43 +88,38 @@ fail(const std::string &message)
 }
 
 std::uint64_t
-parseId(const Args &args)
+parseId(const CliArgs &args)
 {
-    if (args.positional.empty()) {
+    if (args.positional().empty()) {
         usage();
         std::exit(1);
     }
-    const std::string &word = args.positional[0];
-    try {
-        std::size_t used = 0;
-        const std::uint64_t id = std::stoull(word, &used);
-        if (used == word.size())
-            return id;
-    } catch (const std::exception &) {
-    }
+    const std::string &word = args.positional()[0];
+    if (const auto id = support::parseU64(word))
+        return *id;
     std::exit(fail("bad request id '" + word + "'"));
 }
 
 int
-cmdSubmit(serving::Client &client, const Args &args)
+cmdSubmit(serving::Client &client, const CliArgs &args)
 {
-    if (args.positional.empty()) {
+    if (args.positional().empty()) {
         usage();
         return 1;
     }
     std::string contents;
-    if (!readInput(args.positional[0], contents))
-        return fail("cannot read '" + args.positional[0] + "'");
+    if (!readInput(args.positional()[0], contents))
+        return fail("cannot read '" + args.positional()[0] + "'");
 
     std::string wire;
-    if (args.options.count("binary")) {
+    if (args.has("binary")) {
         wire = contents;
     } else {
         std::string error;
         auto plan = serving::ExecutionPlan::fromText(contents, error);
         if (!plan)
             return fail("plan: " + error);
-        if (args.options.count("no-cache"))
+        if (args.has("no-cache"))
             plan->noCache = true;
         wire = plan->saveToString();
     }
@@ -181,7 +143,7 @@ cmdSubmit(serving::Client &client, const Args &args)
 }
 
 int
-cmdStatus(serving::Client &client, const Args &args)
+cmdStatus(serving::Client &client, const CliArgs &args)
 {
     std::string tenant;
     std::string error;
@@ -196,7 +158,7 @@ cmdStatus(serving::Client &client, const Args &args)
 }
 
 int
-cmdResult(serving::Client &client, const Args &args)
+cmdResult(serving::Client &client, const CliArgs &args)
 {
     std::string error;
     const auto status = client.result(parseId(args), error);
@@ -218,7 +180,7 @@ cmdResult(serving::Client &client, const Args &args)
                   << " blob-fnv1a=" << digest;
     }
     std::cout << "\n";
-    const std::string blob_path = args.option("blob", "");
+    const std::string blob_path = args.get("blob", "");
     if (!blob_path.empty()) {
         std::ofstream out(blob_path, std::ios::binary);
         if (!out)
@@ -229,7 +191,7 @@ cmdResult(serving::Client &client, const Args &args)
 }
 
 int
-cmdReplayFetch(serving::Client &client, const Args &args)
+cmdReplayFetch(serving::Client &client, const CliArgs &args)
 {
     const std::uint64_t request_id = parseId(args);
     std::string error;
@@ -241,7 +203,7 @@ cmdReplayFetch(serving::Client &client, const Args &args)
                     " has no record log (not finished, unknown, or "
                     "record-choices off)");
     const std::string out_path =
-        args.option("out", std::to_string(request_id) + ".rec");
+        args.get("out", std::to_string(request_id) + ".rec");
     std::ofstream out(out_path, std::ios::binary);
     if (!out)
         return fail("cannot open '" + out_path + "'");
@@ -273,19 +235,20 @@ main(int argc, char **argv)
         return 1;
     }
     const std::string command = argv[1];
-    const Args args = parseArgs(argc, argv);
+    const CliArgs args(argc, argv, 2);
 
     const bool known = command == "submit" || command == "status" ||
                        command == "result" ||
                        command == "replay-fetch" ||
                        command == "drain";
-    if (!known) {
+    if (!known || args.unknownOption({"socket", "binary", "no-cache",
+                                      "blob", "out"})) {
         usage();
         return 1;
     }
 
     std::string error;
-    serving::Client client(args.option("socket", "statsd.sock"),
+    serving::Client client(args.get("socket", "statsd.sock"),
                            error);
     if (!client.connected())
         return fail(error);

@@ -1,16 +1,28 @@
 /**
  * @file
- * statscc — the STATS command-line driver.
+ * statscc — the STATS command-line driver. Every offline job is one
+ * subcommand; the serving daemon is `statsd`.
  *
  * Subcommands:
  *   list                          benchmarks, tradeoffs, state spaces
  *   run <benchmark> [options]     run one configuration
+ *   trace <benchmark> [options]   run with tracing on and print the
+ *                                 event table, summary, and scheduler
+ *                                 footer
  *   tune <benchmark> [options]    autotune; optional results store
  *   frontend <file|benchmark>     run the front-end compiler
  *   pipeline <ir-file> [options]  middle-end + back-end on an IR file
- *   analyze <ir-file> [options]   speculation-safety static analysis
+ *   analyze <ir-file>... [opts]   speculation-safety static analysis
  *   disasm <ir-file> [options]    compile to bytecode and disassemble
  *   fuzz [options]                generative differential testing
+ *   fuzz <case-file>...           re-run the oracle on saved cases
+ *   fuzz gen --index=I            print one generated case
+ *   fuzz shrink <case> [--out=F]  minimize a failing case
+ *   log inspect <log>             header, metadata, record listing
+ *   log diff <a> <b>              first differing record (exit 1)
+ *
+ * Each subcommand accepts only its own options; an unknown option is
+ * a usage error.
  *
  * Execution-tier options (see docs/INTERPRETER.md):
  *   --exec-tier=ast|bytecode|auto tier for executing getValue() and
@@ -32,6 +44,8 @@
  *   --max-failures=N          stop after N failures      (default 8)
  *   --no-analysis             skip the static-analysis stage
  *   --verbose                 log every case, not only failures
+ *   --index=I                 gen: the case index        (default 0)
+ *   --out=FILE                shrink: write the minimized case
  *
  * Analysis options (see docs/ANALYSIS.md):
  *   --analyze[=pass]          pass to run: verify, purity,
@@ -39,6 +53,7 @@
  *                             bytecode-verify           (default all)
  *   --analysis-format=FMT     text|json                 (default text)
  *   --midend                  analyze: run the middle-end first
+ *   --quiet                   analyze: print nothing for clean modules
  *
  * Common options:
  *   --mode=original|seq|par   parallelization mode      (default par)
@@ -58,16 +73,24 @@
  *                             log; exits 1 on the first divergence
  *   --faults=PLAN             inject faults (spec string or file;
  *                             grammar in docs/REPLAY.md §4)
+ *   --limit=N                 log inspect: records listed (default
+ *                             64; 0 = all)
+ *   --run=R                   log inspect: one engine run only
  *
- * Observability (run/tune; see docs/OBSERVABILITY.md):
+ * Observability (run/tune/trace; see docs/OBSERVABILITY.md):
  *   --trace=FILE              record speculation events, export a
  *                             chrome://tracing JSON to FILE
  *   --metrics=FILE            dump the trace-derived metrics JSON
  *   --snapshots=FILE          tune: per-configuration profiler
  *                             snapshots (JSON)
  *   --audit=FILE              tune: the autotuner's decision trail
+ *   --limit=N                 trace: event rows printed (default 64;
+ *                             0 = all)
+ *   --events=all|engine|sched trace: event-row filter  (default all)
+ *   --chrome=FILE             trace: also write chrome://tracing JSON
  */
 
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -92,9 +115,10 @@
 #include "midend/midend.hpp"
 #include "profiler/profiler.hpp"
 #include "replay/fault_plan.hpp"
+#include "replay/log_render.hpp"
 #include "replay/record_log.hpp"
 #include "replay/session.hpp"
-#include "serving/serve_main.hpp"
+#include "support/cli_args.hpp"
 #include "support/log.hpp"
 #include "support/seed_sequence.hpp"
 #include "support/string_utils.hpp"
@@ -105,47 +129,51 @@ namespace {
 
 using namespace stats;
 using namespace stats::benchmarks;
+using support::CliArgs;
 
-/** Parsed command line: positionals plus --key=value options. */
-struct Args
+/**
+ * Turn the global trace on before the work it should observe;
+ * `requester` names who needs it in the compiled-out error.
+ */
+void
+enableTrace(const std::string &requester)
 {
-    std::vector<std::string> positional;
-    std::map<std::string, std::string> options;
+    obs::Trace::global().enable();
+    // Folds to false when the layer is compiled out.
+    if (!obs::traceActive())
+        support::fatal(requester,
+                       " tracing compiled in "
+                       "(built with STATS_OBS_DISABLE)");
+}
 
-    std::string
-    option(const std::string &key, const std::string &fallback) const
+/** The events the global trace holds, and the metrics they derive. */
+struct CollectedTrace
+{
+    std::vector<obs::Event> events;
+    obs::TraceSummary summary;
+
+    static CollectedTrace
+    collect()
     {
-        auto it = options.find(key);
-        return it == options.end() ? fallback : it->second;
+        auto &trace = obs::Trace::global();
+        CollectedTrace collected;
+        collected.events = trace.collect();
+        collected.summary =
+            obs::summarizeTrace(collected.events, trace.dropped());
+        return collected;
     }
 
-    int
-    intOption(const std::string &key, int fallback) const
+    void
+    writeChrome(const std::string &path) const
     {
-        auto it = options.find(key);
-        return it == options.end() ? fallback : std::stoi(it->second);
+        std::ofstream out(path);
+        if (!out)
+            support::fatal("cannot open '", path, "'");
+        obs::writeChromeTrace(out, events);
+        std::cout << "wrote " << events.size() << " trace events to "
+                  << path << " (load in chrome://tracing)\n";
     }
 };
-
-Args
-parseArgs(int argc, char **argv)
-{
-    Args args;
-    for (int i = 2; i < argc; ++i) {
-        const std::string word = argv[i];
-        if (support::startsWith(word, "--")) {
-            const auto eq = word.find('=');
-            if (eq == std::string::npos)
-                args.options[word.substr(2)] = "true";
-            else
-                args.options[word.substr(2, eq - 2)] =
-                    word.substr(eq + 1);
-        } else {
-            args.positional.push_back(word);
-        }
-    }
-    return args;
-}
 
 /**
  * Observability options shared by `run` and `tune`: when `--trace` or
@@ -158,19 +186,13 @@ struct ObsOptions
     std::string metricsPath;
 
     static ObsOptions
-    fromArgs(const Args &args)
+    fromArgs(const CliArgs &args)
     {
         ObsOptions options;
-        options.tracePath = args.option("trace", "");
-        options.metricsPath = args.option("metrics", "");
-        if (options.active()) {
-            obs::Trace::global().enable();
-            // Folds to false when the layer is compiled out.
-            if (!obs::traceActive())
-                support::fatal(
-                    "--trace/--metrics need tracing compiled in "
-                    "(built with STATS_OBS_DISABLE)");
-        }
+        options.tracePath = args.get("trace", "");
+        options.metricsPath = args.get("metrics", "");
+        if (options.active())
+            enableTrace("--trace/--metrics need");
         return options;
     }
 
@@ -184,30 +206,31 @@ struct ObsOptions
     {
         if (!active())
             return;
-        auto &trace = obs::Trace::global();
-        const auto events = trace.collect();
-        const auto summary =
-            obs::summarizeTrace(events, trace.dropped());
-        obs::fillRegistry(summary, obs::MetricsRegistry::global());
-        if (!tracePath.empty()) {
-            std::ofstream out(tracePath);
-            if (!out)
-                support::fatal("cannot open '", tracePath, "'");
-            obs::writeChromeTrace(out, events);
-            std::cout << "wrote " << events.size()
-                      << " trace events to " << tracePath
-                      << " (load in chrome://tracing)\n";
-        }
+        const CollectedTrace trace = CollectedTrace::collect();
+        obs::fillRegistry(trace.summary,
+                          obs::MetricsRegistry::global());
+        if (!tracePath.empty())
+            trace.writeChrome(tracePath);
         if (!metricsPath.empty()) {
             std::ofstream out(metricsPath);
             if (!out)
                 support::fatal("cannot open '", metricsPath, "'");
-            obs::writeSummaryJson(out, summary);
+            obs::writeSummaryJson(out, trace.summary);
             std::cout << "wrote metrics to " << metricsPath << "\n";
         }
-        obs::printSummaryTable(std::cout, summary);
+        obs::printSummaryTable(std::cout, trace.summary);
     }
 };
+
+replay::RecordLog
+loadLog(const std::string &path)
+{
+    std::string error;
+    auto log = replay::RecordLog::loadFile(path, error);
+    if (!log)
+        support::fatal(path, ": ", error);
+    return std::move(*log);
+}
 
 /**
  * Record/replay + fault-injection options shared by `run` and `tune`
@@ -226,14 +249,14 @@ struct ReplayOptions
     bool replaying() const { return !replayPath.empty(); }
 
     static ReplayOptions
-    fromArgs(const Args &args)
+    fromArgs(const CliArgs &args)
     {
         ReplayOptions options;
-        options.recordPath = args.option("record", "");
-        options.replayPath = args.option("replay", "");
+        options.recordPath = args.get("record", "");
+        options.replayPath = args.get("replay", "");
         if (options.recording() && options.replaying())
             support::fatal("--record and --replay are exclusive");
-        const std::string fault_spec = args.option("faults", "");
+        const std::string fault_spec = args.get("faults", "");
         if (!fault_spec.empty()) {
             std::string error;
             auto plan = replay::FaultPlan::fromSpec(fault_spec, error);
@@ -242,14 +265,8 @@ struct ReplayOptions
             replay::ReplaySession::global().setFaultPlan(*plan);
             std::cout << "fault plan: " << plan->describe() << "\n";
         }
-        if (options.replaying()) {
-            std::string error;
-            auto loaded =
-                replay::RecordLog::loadFile(options.replayPath, error);
-            if (!loaded)
-                support::fatal("--replay: ", error);
-            options.log = std::move(*loaded);
-        }
+        if (options.replaying())
+            options.log = loadLog(options.replayPath);
         return options;
     }
 
@@ -258,11 +275,11 @@ struct ReplayOptions
      * explicitly fall back to what the recording stored.
      */
     std::string
-    recorded(const Args &args, const std::string &key,
+    recorded(const CliArgs &args, const std::string &key,
              const std::string &fallback) const
     {
-        return args.option(key, replaying() ? log.meta(key, fallback)
-                                            : fallback);
+        return args.get(key, replaying() ? log.meta(key, fallback)
+                                         : fallback);
     }
 
     /** Begin the session; returns the effective root seed. */
@@ -342,8 +359,35 @@ parseWorkload(const std::string &word)
     support::fatal("unknown workload '", word, "' (expected rep|bad)");
 }
 
+/**
+ * The mode, threads, and workload of `run` and `trace`. On replay the
+ * recording supplies any option the command line omits.
+ */
+RunRequest
+parseRunRequest(const CliArgs &args, const ReplayOptions &replay)
+{
+    RunRequest request;
+    request.mode = parseMode(replay.recorded(args, "mode", "par"));
+    request.threads = support::intValue(
+        "threads", replay.recorded(args, "threads", "28"), 1);
+    request.workload =
+        parseWorkload(replay.recorded(args, "workload", "rep"));
+    return request;
+}
+
+/** One root seed drives every stream (docs/REPLAY.md §1). */
+void
+applyRootSeed(RunRequest &request, std::uint64_t root_seed)
+{
+    if (root_seed == 0)
+        return;
+    const support::SeedSequence seeds(root_seed);
+    request.workloadSeed = seeds.derive("workload");
+    request.runSeed = seeds.derive("run");
+}
+
 int
-cmdList(const Args &)
+cmdList(const CliArgs &)
 {
     support::TextTable table({"benchmark", "tradeoffs", "state deps",
                               "state-space points (28 threads)"});
@@ -362,46 +406,32 @@ cmdList(const Args &)
 }
 
 int
-cmdRun(const Args &args)
+cmdRun(const CliArgs &args)
 {
     ReplayOptions replay_options = ReplayOptions::fromArgs(args);
     // On replay the recording itself supplies the benchmark and any
     // option not overridden on the command line.
     const std::string bench_name =
-        !args.positional.empty()
-            ? args.positional[0]
+        !args.positional().empty()
+            ? args.positional()[0]
             : replay_options.log.meta("benchmark", "");
     if (bench_name.empty())
         support::fatal("usage: statscc run <benchmark> [options]");
     auto bench = createBenchmark(bench_name);
     const ObsOptions obs_options = ObsOptions::fromArgs(args);
 
-    RunRequest request;
-    request.mode =
-        parseMode(replay_options.recorded(args, "mode", "par"));
-    request.threads =
-        std::stoi(replay_options.recorded(args, "threads", "28"));
-    request.workload = parseWorkload(
-        replay_options.recorded(args, "workload", "rep"));
-
-    const auto requested_seed = static_cast<std::uint64_t>(
-        std::stoll(replay_options.recorded(args, "seed", "0")));
-    const std::uint64_t root_seed =
-        replay_options.start(requested_seed);
-    if (root_seed != 0) {
-        // One root seed drives every stream (docs/REPLAY.md §1).
-        const support::SeedSequence seeds(root_seed);
-        request.workloadSeed = seeds.derive("workload");
-        request.runSeed = seeds.derive("run");
-    }
+    RunRequest request = parseRunRequest(args, replay_options);
+    const std::uint64_t root_seed = replay_options.start(
+        support::u64Value("seed",
+                          replay_options.recorded(args, "seed", "0")));
+    applyRootSeed(request, root_seed);
     if (replay_options.recording()) {
         auto &session = replay::ReplaySession::global();
         session.setMetadata("benchmark", bench->name());
-        session.setMetadata("mode", args.option("mode", "par"));
+        session.setMetadata("mode", args.get("mode", "par"));
         session.setMetadata("threads",
                             std::to_string(request.threads));
-        session.setMetadata("workload",
-                            args.option("workload", "rep"));
+        session.setMetadata("workload", args.get("workload", "rep"));
         session.setMetadata("seed", std::to_string(root_seed));
     }
 
@@ -428,25 +458,133 @@ cmdRun(const Args &args)
     return replay_options.finish();
 }
 
-int
-cmdTune(const Args &args)
+std::string
+trackName(std::int32_t track)
 {
-    if (args.positional.empty())
+    if (track == obs::kFrontierTrack)
+        return "frontier";
+    return "exec " + std::to_string(track);
+}
+
+/** Steal/park and allocation activity at a glance. */
+void
+printSchedulerFooter(const std::vector<obs::Event> &events)
+{
+    std::size_t steals = 0;
+    std::size_t parks = 0;
+    std::size_t unparks = 0;
+    std::size_t refills = 0;
+    std::size_t heap_refills = 0;
+    std::size_t lane_enqueues = 0;
+    for (const auto &event : events) {
+        switch (event.type) {
+          case obs::EventType::TaskStolen:   ++steals;  break;
+          case obs::EventType::WorkerPark:   ++parks;   break;
+          case obs::EventType::WorkerUnpark: ++unparks; break;
+          case obs::EventType::ArenaRefill:
+            ++refills;
+            if (event.inputEnd == 1)
+                ++heap_refills;
+            break;
+          case obs::EventType::CommitLaneEnqueue:
+            ++lane_enqueues;
+            break;
+          default: break;
+        }
+    }
+    // Real-thread runs only; simulated runs legitimately show zeros.
+    std::cout << "\nscheduler: " << steals << " steals, " << parks
+              << " parks, " << unparks << " unparks\n";
+    std::cout << "allocation: " << refills << " arena refills ("
+              << heap_refills << " from the heap), " << lane_enqueues
+              << " commit-lane enqueues\n";
+}
+
+int
+cmdTrace(const CliArgs &args)
+{
+    if (args.positional().size() != 1)
+        support::fatal("usage: statscc trace <benchmark> [options]");
+    auto bench = createBenchmark(args.positional()[0]);
+    const std::string filter = args.get("events", "all");
+    if (filter != "all" && filter != "engine" && filter != "sched")
+        support::fatal("unknown --events '", filter,
+                       "' (expected all|engine|sched)");
+    const auto limit =
+        static_cast<std::size_t>(args.getInt("limit", 64, 0));
+    RunRequest request = parseRunRequest(args, ReplayOptions{});
+    applyRootSeed(request, args.getU64("seed", 0));
+
+    enableTrace("statscc trace needs");
+    const RunResult result = bench->run(request);
+    const CollectedTrace trace = CollectedTrace::collect();
+    const auto &events = trace.events;
+
+    std::cout << bench->name() << " [" << modeName(request.mode) << ", "
+              << request.threads << " threads]: " << events.size()
+              << " events, " << result.virtualSeconds << " s virtual\n\n";
+    support::TextTable table(
+        {"seq", "event", "group", "inputs", "track", "t (s)", "arg"});
+    std::size_t printed = 0;
+    std::size_t filtered = 0;
+    for (const auto &event : events) {
+        const bool sched = obs::isSchedulerEvent(event.type);
+        if ((filter == "engine" && sched) ||
+            (filter == "sched" && !sched)) {
+            ++filtered;
+            continue;
+        }
+        if (limit != 0 && printed == limit)
+            break;
+        std::ostringstream inputs;
+        inputs << "[" << event.inputBegin << ", " << event.inputEnd
+               << ")";
+        table.addRow({std::to_string(event.seq),
+                      obs::eventTypeName(event.type),
+                      std::to_string(event.group), inputs.str(),
+                      trackName(event.track),
+                      support::TextTable::formatDouble(event.ts, 6),
+                      std::to_string(event.arg)});
+        ++printed;
+    }
+    table.print(std::cout);
+    if (limit != 0 && events.size() - filtered > limit)
+        std::cout << "... " << events.size() - filtered - limit
+                  << " more events (raise with --limit=N, 0 = all)\n";
+    if (filtered > 0)
+        std::cout << "(" << filtered << " events hidden by --events="
+                  << filter << ")\n";
+    std::cout << "\n";
+    obs::printSummaryTable(std::cout, trace.summary);
+    printSchedulerFooter(events);
+
+    const std::string chrome_path = args.get("chrome", "");
+    if (!chrome_path.empty()) {
+        std::cout << "\n";
+        trace.writeChrome(chrome_path);
+    }
+    return 0;
+}
+
+int
+cmdTune(const CliArgs &args)
+{
+    if (args.positional().empty())
         support::fatal("usage: statscc tune <benchmark> [options]");
-    auto bench = createBenchmark(args.positional[0]);
+    auto bench = createBenchmark(args.positional()[0]);
     ReplayOptions replay_options = ReplayOptions::fromArgs(args);
     const ObsOptions obs_options = ObsOptions::fromArgs(args);
 
-    const Mode mode = parseMode(args.option("mode", "par"));
-    const int threads = args.intOption("threads", 28);
-    const int budget = args.intOption("budget", 60);
-    const auto objective = args.option("objective", "time") == "energy"
+    const Mode mode = parseMode(args.get("mode", "par"));
+    const int threads = args.getInt("threads", 28, 1);
+    const int budget = args.getInt("budget", 60);
+    const auto objective = args.get("objective", "time") == "energy"
                                ? profiler::Objective::Energy
                                : profiler::Objective::Time;
-    const std::string db_path = args.option("db", "");
+    const std::string db_path = args.get("db", "");
 
-    const std::uint64_t root_seed = replay_options.start(
-        static_cast<std::uint64_t>(args.intOption("seed", 1)));
+    const std::uint64_t root_seed =
+        replay_options.start(args.getU64("seed", 1));
     const support::SeedSequence seeds(root_seed);
     if (replay_options.recording()) {
         auto &session = replay::ReplaySession::global();
@@ -457,8 +595,8 @@ cmdTune(const Args &args)
 
     sim::MachineConfig machine;
     profiler::Profiler profiler(*bench, mode, threads, machine,
-                                parseWorkload(args.option("workload",
-                                                          "rep")));
+                                parseWorkload(args.get("workload",
+                                                       "rep")));
     autotuner::Autotuner tuner(bench->stateSpace(threads),
                                seeds.derive("tuner"));
 
@@ -493,7 +631,7 @@ cmdTune(const Args &args)
                   << " configurations to " << db_path << "\n";
     }
 
-    const std::string snapshots_path = args.option("snapshots", "");
+    const std::string snapshots_path = args.get("snapshots", "");
     if (!snapshots_path.empty()) {
         std::ofstream out(snapshots_path);
         if (!out)
@@ -503,7 +641,7 @@ cmdTune(const Args &args)
                   << " configuration snapshots to " << snapshots_path
                   << "\n";
     }
-    const std::string audit_path = args.option("audit", "");
+    const std::string audit_path = args.get("audit", "");
     if (!audit_path.empty()) {
         std::ofstream out(audit_path);
         if (!out)
@@ -517,11 +655,11 @@ cmdTune(const Args &args)
 }
 
 int
-cmdFrontend(const Args &args)
+cmdFrontend(const CliArgs &args)
 {
-    if (args.positional.empty())
+    if (args.positional().empty())
         support::fatal("usage: statscc frontend <file|benchmark>");
-    const std::string &target = args.positional[0];
+    const std::string &target = args.positional()[0];
 
     std::string source;
     std::string unit = target;
@@ -548,74 +686,100 @@ cmdFrontend(const Args &args)
     return 0;
 }
 
-/** Read and parse the IR file named by the first positional. */
+/** Read and parse one textual IR file. */
 ir::Module
-loadModule(const Args &args, const char *usage_line)
+loadModule(const std::string &path)
 {
-    if (args.positional.empty())
-        support::fatal("usage: ", usage_line);
-    std::ifstream in(args.positional[0]);
+    std::ifstream in(path);
     if (!in)
-        support::fatal("cannot open '", args.positional[0], "'");
+        support::fatal("cannot open '", path, "'");
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return ir::parseModule(buffer.str());
 }
 
+/** The IR file named by the first positional, parsed. */
+ir::Module
+loadModule(const CliArgs &args, const char *usage_line)
+{
+    if (args.positional().empty())
+        support::fatal("usage: ", usage_line);
+    return loadModule(args.positional()[0]);
+}
+
 /** Selected analysis pass from `--analyze[=pass]` ("" = all). */
 std::string
-analysisPass(const Args &args)
+analysisPass(const CliArgs &args)
 {
-    const std::string pass = args.option("analyze", "");
+    const std::string pass = args.get("analyze", "");
     if (pass.empty() || pass == "true")
         return "";
     if (!analysis::isPassName(pass)) {
         std::string known;
-        for (const auto &name : analysis::passNames())
-            known += (known.empty() ? "" : "|") + name;
+        for (const auto &name : analysis::passNames()) {
+            if (!known.empty())
+                known += '|';
+            known += name;
+        }
         support::fatal("unknown analysis pass '", pass, "' (expected ",
                        known, ")");
     }
     return pass;
 }
 
-/** Run the analyzer and render it; returns the error count != 0. */
+/**
+ * Run the analyzer and render its findings (nothing when `quiet` and
+ * the module is clean); returns whether any error was found.
+ */
 bool
 analyzeModule(const ir::Module &module, const std::string &file,
-              const Args &args, std::ostream &out)
+              const CliArgs &args, std::ostream &out,
+              bool quiet = false)
 {
+    const std::string format = args.get("analysis-format", "text");
+    if (format != "text" && format != "json")
+        support::fatal("unknown --analysis-format '", format,
+                       "' (expected text|json)");
     analysis::LintOptions options;
     options.pass = analysisPass(args);
     options.bytecodeVerifier = ir::bc::verifyCompiledModule;
     const auto diags = analysis::runAnalyses(module, options);
-    const std::string format = args.option("analysis-format", "text");
+    if (quiet && diags.empty())
+        return false;
     if (format == "json")
         analysis::writeDiagnosticsJson(out, module.name, file, diags);
-    else if (format == "text")
-        analysis::writeDiagnosticsText(out, file, diags);
     else
-        support::fatal("unknown --analysis-format '", format,
-                       "' (expected text|json)");
+        analysis::writeDiagnosticsText(out, file, diags);
     return analysis::hasErrors(diags);
 }
 
 int
-cmdAnalyze(const Args &args)
+cmdAnalyze(const CliArgs &args)
 {
-    ir::Module module =
-        loadModule(args, "statscc analyze <ir-file> [options]");
-    if (args.option("midend", "") == "true")
-        midend::runMiddleEnd(module);
-    return analyzeModule(module, args.positional[0], args, std::cout)
-               ? 1
-               : 0;
+    const auto &files = args.positional();
+    if (files.empty())
+        support::fatal("usage: statscc analyze <ir-file>... [options]");
+    const bool quiet = args.has("quiet");
+    std::size_t failed = 0;
+    for (const auto &file : files) {
+        ir::Module module = loadModule(file);
+        if (args.has("midend"))
+            midend::runMiddleEnd(module);
+        if (analyzeModule(module, file, args, std::cout, quiet))
+            ++failed;
+    }
+    if (files.size() > 1 && !quiet) {
+        std::cout << failed << " of " << files.size()
+                  << " module(s) failed\n";
+    }
+    return failed == 0 ? 0 : 1;
 }
 
 /** Parse `--exec-tier=` (docs/INTERPRETER.md §6). */
 ir::ExecTier
-execTierOption(const Args &args)
+execTierOption(const CliArgs &args)
 {
-    const std::string word = args.option("exec-tier", "auto");
+    const std::string word = args.get("exec-tier", "auto");
     const auto tier = ir::parseExecTier(word);
     if (!tier)
         support::fatal("unknown --exec-tier '", word,
@@ -624,7 +788,7 @@ execTierOption(const Args &args)
 }
 
 int
-cmdDisasm(const Args &args)
+cmdDisasm(const CliArgs &args)
 {
     ir::Module module =
         loadModule(args, "statscc disasm <ir-file> [options]");
@@ -634,10 +798,10 @@ cmdDisasm(const Args &args)
             std::cerr << "verify: " << problem << "\n";
         return 1;
     }
-    if (args.option("midend", "") == "true")
+    if (args.has("midend"))
         midend::runMiddleEnd(module);
     const ir::bc::BcModule bytecode = ir::bc::compileModule(module);
-    const std::string fn_name = args.option("function", "");
+    const std::string fn_name = args.get("function", "");
     if (!fn_name.empty()) {
         const ir::bc::BcFunction *fn = bytecode.find(fn_name);
         if (!fn)
@@ -650,7 +814,7 @@ cmdDisasm(const Args &args)
 }
 
 int
-cmdPipeline(const Args &args)
+cmdPipeline(const CliArgs &args)
 {
     ir::Module module =
         loadModule(args, "statscc pipeline <ir-file> [options]");
@@ -669,12 +833,12 @@ cmdPipeline(const Args &args)
               << module.instructionCount() << " instructions\n";
 
     // Optional speculation-safety gate on the middle-end output.
-    if (args.options.count("analyze")) {
-        if (analyzeModule(module, args.positional[0], args, std::cerr))
+    if (args.has("analyze")) {
+        if (analyzeModule(module, args.positional()[0], args, std::cerr))
             return 1;
     }
 
-    const std::string emit = args.option("emit", "binary");
+    const std::string emit = args.get("emit", "binary");
     if (emit == "midend") {
         std::cout << ir::printModule(module);
         return 0;
@@ -687,7 +851,7 @@ cmdPipeline(const Args &args)
     config.execTier = execTierOption(args);
     for (const auto &dep : module.stateDeps)
         config.auxiliaryDeps.insert(dep.name);
-    const std::string assignments = args.option("config", "");
+    const std::string assignments = args.get("config", "");
     if (!assignments.empty()) {
         for (const auto &pair : support::split(assignments, ',')) {
             // Last colon: post-midend tradeoff names are themselves
@@ -696,7 +860,7 @@ cmdPipeline(const Args &args)
             if (colon == std::string::npos)
                 support::fatal("--config wants name:index pairs");
             config.tradeoffIndices[pair.substr(0, colon)] =
-                std::stoll(pair.substr(colon + 1));
+                support::intValue("config", pair.substr(colon + 1));
         }
     }
     const backend::Executable executable =
@@ -710,104 +874,209 @@ cmdPipeline(const Args &args)
     return 0;
 }
 
-int
-cmdFuzz(const Args &args)
+testing::CampaignOptions
+campaignOptions(const CliArgs &args)
 {
-    testing::OracleOptions oracle;
-    oracle.runAnalysis = !args.options.count("no-analysis");
-    oracle.execTier = execTierOption(args);
-
-    // Corpus-replay mode: re-run the oracle on one saved case file.
-    const std::string case_path =
-        args.option("case", args.positional.empty() ? ""
-                                                    : args.positional[0]);
-    if (!case_path.empty()) {
-        const auto result =
-            testing::replayCaseFile(case_path, oracle, std::cout);
-        return result.ok ? 0 : 1;
-    }
-
     testing::CampaignOptions options;
-    options.seed =
-        static_cast<std::uint64_t>(std::stoull(args.option("seed", "1")));
-    options.runs = args.intOption("runs", 500);
-    options.artifactsDir = args.option("artifacts", "fuzz-artifacts");
-    options.generator.nearMissEvery =
-        args.intOption("near-miss-every", options.generator.nearMissEvery);
-    options.generator.faultsEvery =
-        args.intOption("faults-every", options.generator.faultsEvery);
-    options.generator.maxInputs =
-        args.intOption("max-inputs", options.generator.maxInputs);
-    options.shrink = !args.options.count("no-shrink");
-    options.shrinkEvaluations = args.intOption("shrink-evals", 400);
-    options.maxFailures = args.intOption("max-failures", 8);
-    options.verbose = args.options.count("verbose") != 0;
-    options.oracle = oracle;
-    if (options.runs < 1)
-        support::fatal("--runs must be at least 1");
-
-    const auto summary = testing::runCampaign(options, std::cout);
-    return summary.ok() ? 0 : 1;
+    options.seed = args.getU64("seed", 1);
+    options.runs = args.getInt("runs", 500, 1);
+    options.artifactsDir = args.get("artifacts", "fuzz-artifacts");
+    auto &generator = options.generator;
+    generator.nearMissEvery =
+        args.getInt("near-miss-every", generator.nearMissEvery);
+    generator.faultsEvery =
+        args.getInt("faults-every", generator.faultsEvery);
+    generator.maxInputs = args.getInt("max-inputs", generator.maxInputs);
+    options.shrink = !args.has("no-shrink");
+    options.shrinkEvaluations = args.getInt("shrink-evals", 400);
+    options.maxFailures = args.getInt("max-failures", 8);
+    options.verbose = args.has("verbose");
+    options.oracle.runAnalysis = !args.has("no-analysis");
+    options.oracle.execTier = execTierOption(args);
+    return options;
 }
 
 int
-cmdServe(const Args &args)
+fuzzShrink(const CliArgs &args, const testing::CampaignOptions &campaign)
 {
-    serving::ServeArgs serve;
-    serve.socketPath = args.option("socket", serve.socketPath);
-    serve.runAnalysis = !args.options.count("no-analysis");
-    try {
-        serve.quantum = std::stod(args.option("quantum", "1"));
-    } catch (const std::exception &) {
-        support::fatal("serve: --quantum wants a number, got '",
-                       args.option("quantum", "1"), "'");
+    if (args.positional().size() != 2)
+        support::fatal("usage: statscc fuzz shrink <case-file> "
+                       "[--out=FILE]");
+    const std::string &path = args.positional()[1];
+    std::string error;
+    const auto loaded = testing::loadCaseFile(path, error);
+    if (!loaded)
+        support::fatal("cannot load '", path, "': ", error);
+
+    testing::ShrinkOptions shrink;
+    shrink.maxEvaluations = campaign.shrinkEvaluations;
+    shrink.oracle = campaign.oracle;
+    const auto result = testing::shrinkCase(*loaded, shrink);
+    if (result.failKind.empty()) {
+        std::cerr << "case does not fail the oracle; nothing to shrink\n";
+        return 1;
     }
-    if (!(serve.quantum > 0.0))
-        support::fatal("serve: --quantum must be positive");
-    serve.defaultQuotaSpec = args.option("default-quota", "");
-    try {
-        serve.executionWorkers = std::stoul(
-            args.option("execution-workers", "0"));
-    } catch (const std::exception &) {
-        support::fatal("serve: --execution-workers wants a number, "
-                       "got '",
-                       args.option("execution-workers", "0"), "'");
+    std::cerr << "; shrunk in " << result.evaluations
+              << " oracle evaluation(s), failure kind '"
+              << result.failKind << "'\n";
+
+    const std::string text = testing::serializeCase(result.minimized);
+    const std::string out_path = args.get("out", "");
+    if (out_path.empty()) {
+        std::cout << text;
+        return 0;
     }
-    serve.metricsPath = args.option("metrics", "");
-    serve.trace = args.options.count("trace") != 0;
-    // One --quota option; comma-separate multiple tenants.
-    const std::string quotas = args.option("quota", "");
-    std::size_t begin = 0;
-    while (begin < quotas.size()) {
-        const std::size_t comma = quotas.find(',', begin);
-        const std::size_t end =
-            comma == std::string::npos ? quotas.size() : comma;
-        if (end > begin)
-            serve.quotaSpecs.push_back(
-                quotas.substr(begin, end - begin));
-        if (comma == std::string::npos)
-            break;
-        begin = comma + 1;
+    std::ofstream out(out_path, std::ios::binary);
+    if (!out)
+        support::fatal("cannot write '", out_path, "'");
+    out << text;
+    std::cerr << "; wrote " << out_path << "\n";
+    return 0;
+}
+
+int
+cmdFuzz(const CliArgs &args)
+{
+    const testing::CampaignOptions options = campaignOptions(args);
+    const std::string stage =
+        args.positional().empty() ? "" : args.positional()[0];
+    if (stage == "gen") {
+        std::cout << testing::serializeCase(testing::generateCase(
+            options.seed, args.getU64("index", 0), options.generator));
+        return 0;
     }
-    return serving::serveMain(serve);
+    if (stage == "shrink")
+        return fuzzShrink(args, options);
+
+    // Corpus-replay mode: re-run the oracle on saved case files.
+    std::vector<std::string> cases = args.positional();
+    for (const auto &path : args.getAll("case"))
+        cases.push_back(path);
+    if (cases.empty())
+        return testing::runCampaign(options, std::cout).ok() ? 0 : 1;
+    int failed = 0;
+    for (const auto &path : cases) {
+        if (!testing::replayCaseFile(path, options.oracle, std::cout).ok)
+            ++failed;
+    }
+    return failed == 0 ? 0 : 1;
+}
+
+int
+logInspect(const replay::RecordLog &log, const CliArgs &args)
+{
+    std::printf("schema version : %llu\n",
+                static_cast<unsigned long long>(
+                    replay::kLogSchemaVersion));
+    std::printf("root seed      : %llu\n",
+                static_cast<unsigned long long>(log.rootSeed));
+    std::printf("engine runs    : %u\n", log.runCount());
+    std::printf("records        : %zu\n", log.records.size());
+    for (const auto &entry : log.metadata) {
+        std::printf("meta %-10s: %s\n", entry.first.c_str(),
+                    entry.second.c_str());
+    }
+
+    const long limit = args.getInt("limit", 64, 0);
+    const long run_filter = args.getInt("run", -1, 0);
+    long printed = 0;
+    long skipped = 0;
+    for (const auto &record : log.records) {
+        if (run_filter >= 0 &&
+            record.run != static_cast<std::uint32_t>(run_filter)) {
+            continue;
+        }
+        if (limit != 0 && printed >= limit) {
+            ++skipped;
+            continue;
+        }
+        std::fputs(replay::renderRecord(record).c_str(), stdout);
+        ++printed;
+    }
+    if (skipped > 0) {
+        std::printf("  ... %ld more (raise --limit or use --run)\n",
+                    skipped);
+    }
+    return 0;
+}
+
+int
+cmdLog(const CliArgs &args)
+{
+    const auto &words = args.positional();
+    const std::string verb = words.empty() ? "" : words[0];
+    if (verb == "inspect" && words.size() == 2)
+        return logInspect(loadLog(words[1]), args);
+    if (verb == "diff" && words.size() == 3) {
+        const replay::DiffRender render =
+            replay::renderDiff(loadLog(words[1]), loadLog(words[2]));
+        std::fputs(render.text.c_str(), stdout);
+        return render.identical ? 0 : 1;
+    }
+    support::fatal("usage: statscc log inspect <log> [--limit=N] "
+                   "[--run=R] | statscc log diff <a> <b>");
+}
+
+/** One subcommand: its usage line, handler, and accepted options. */
+struct Command
+{
+    const char *name;
+    const char *arguments;
+    const char *summary;
+    int (*run)(const CliArgs &);
+    std::vector<std::string> options;
+};
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"list", "", "benchmarks and state spaces", cmdList, {}},
+        {"run", "<benchmark> [options]", "run one configuration", cmdRun,
+         {"mode", "threads", "workload", "seed", "record", "replay",
+          "faults", "trace", "metrics"}},
+        {"trace", "<benchmark> [options]", "run and print its events",
+         cmdTrace,
+         {"mode", "threads", "workload", "seed", "limit", "events",
+          "chrome"}},
+        {"tune", "<benchmark> [options]", "autotune a benchmark",
+         cmdTune,
+         {"mode", "threads", "workload", "seed", "budget", "objective",
+          "db", "record", "replay", "faults", "trace", "metrics",
+          "snapshots", "audit"}},
+        {"frontend", "<file|benchmark>", "run the front-end compiler",
+         cmdFrontend, {}},
+        {"pipeline", "<ir-file>", "middle-end + back-end", cmdPipeline,
+         {"analyze", "analysis-format", "emit", "exec-tier", "config"}},
+        {"analyze", "<ir-file>...", "speculation-safety checks",
+         cmdAnalyze, {"analyze", "analysis-format", "midend", "quiet"}},
+        {"disasm", "<ir-file>", "bytecode disassembly", cmdDisasm,
+         {"function", "midend"}},
+        {"fuzz", "[case...|gen|shrink]", "differential testing",
+         cmdFuzz,
+         {"seed", "runs", "artifacts", "case", "near-miss-every",
+          "faults-every", "max-inputs", "no-shrink", "shrink-evals",
+          "max-failures", "no-analysis", "verbose", "exec-tier",
+          "index", "out"}},
+        {"log", "inspect|diff <log>...", "record/replay logs", cmdLog,
+         {"limit", "run"}},
+    };
+    return table;
 }
 
 void
 usage()
 {
-    std::cerr
-        << "usage: statscc <command> [arguments]\n"
-        << "commands:\n"
-        << "  list                         benchmarks and state spaces\n"
-        << "  run <benchmark> [options]    run one configuration\n"
-        << "  tune <benchmark> [options]   autotune a benchmark\n"
-        << "  frontend <file|benchmark>    run the front-end compiler\n"
-        << "  pipeline <ir-file>           middle-end + back-end\n"
-        << "  analyze <ir-file>            speculation-safety checks\n"
-        << "  disasm <ir-file>             bytecode disassembly\n"
-        << "  fuzz [case-file]             differential testing campaign\n"
-        << "  serve [options]              statsd serving daemon\n"
-           "                               (docs/SERVING.md)\n";
+    std::cerr << "usage: statscc <command> [arguments]\n"
+              << "commands:\n";
+    for (const auto &command : commands()) {
+        const std::string head =
+            std::string(command.name) + " " + command.arguments;
+        std::cerr << "  " << head
+                  << std::string(head.size() < 29 ? 29 - head.size() : 1,
+                                 ' ')
+                  << command.summary << "\n";
+    }
 }
 
 } // namespace
@@ -815,30 +1084,19 @@ usage()
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage();
-        return 1;
+    const std::string name = argc < 2 ? "" : argv[1];
+    for (const auto &command : commands()) {
+        if (name != command.name)
+            continue;
+        const CliArgs args(argc, argv, 2);
+        if (const auto unknown = args.unknownOption(command.options)) {
+            std::cerr << "statscc " << name << ": unknown option --"
+                      << *unknown << "\n";
+            usage();
+            return 1;
+        }
+        return command.run(args);
     }
-    const std::string command = argv[1];
-    const Args args = parseArgs(argc, argv);
-    if (command == "list")
-        return cmdList(args);
-    if (command == "run")
-        return cmdRun(args);
-    if (command == "tune")
-        return cmdTune(args);
-    if (command == "frontend")
-        return cmdFrontend(args);
-    if (command == "pipeline")
-        return cmdPipeline(args);
-    if (command == "analyze")
-        return cmdAnalyze(args);
-    if (command == "disasm")
-        return cmdDisasm(args);
-    if (command == "fuzz")
-        return cmdFuzz(args);
-    if (command == "serve")
-        return cmdServe(args);
     usage();
     return 1;
 }

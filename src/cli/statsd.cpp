@@ -15,16 +15,27 @@
  *          [--metrics=FILE]
  *
  * `--quota` may repeat (and each accepts a comma-separated list).
+ * Every option is validated before the socket is created, so a
+ * malformed one never leaves a listening daemon or a stale socket.
  */
 
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "serving/serve_main.hpp"
+#include "observability/metrics.hpp"
+#include "observability/trace.hpp"
+#include "serving/daemon.hpp"
+#include "support/cli_args.hpp"
+#include "support/log.hpp"
 #include "support/string_utils.hpp"
 
 namespace {
+
+using namespace stats;
+using namespace stats::serving;
 
 void
 usage()
@@ -46,21 +57,53 @@ usage()
         << "  --metrics=FILE           dump metrics JSON on drain\n";
 }
 
-void
-appendCommaSeparated(std::vector<std::string> &out,
-                     const std::string &list)
+/**
+ * Parse "rate:burst:maxQueued:weight" (the `tenant:`-less form).
+ * Returns an empty string on success, else what is wrong.
+ */
+std::string
+parseQuota(const std::string &spec, TenantQuota &quota)
 {
-    std::size_t begin = 0;
-    while (begin <= list.size()) {
-        const std::size_t comma = list.find(',', begin);
-        const std::size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        if (end > begin)
-            out.push_back(list.substr(begin, end - begin));
-        if (comma == std::string::npos)
-            break;
-        begin = comma + 1;
+    const std::vector<std::string> parts = support::split(spec, ':');
+    if (parts.size() != 4)
+        return "want rate:burst:maxQueued:weight";
+    const auto rate = support::parseDouble(parts[0]);
+    const auto burst = support::parseDouble(parts[1]);
+    const auto max_queued = support::parseU64(parts[2]);
+    const auto weight = support::parseInt(parts[3]);
+    if (!rate || !burst || !max_queued || !weight)
+        return "malformed number in quota spec";
+    if (*rate <= 0.0 || *burst < 1.0 || *max_queued < 1 ||
+        *weight < 1 || *weight > INT_MAX)
+        return "quota values out of range";
+    quota.ratePerSec = *rate;
+    quota.burst = *burst;
+    quota.maxQueued = static_cast<std::size_t>(*max_queued);
+    quota.weight = static_cast<int>(*weight);
+    return "";
+}
+
+/** Every `--quota` spec, comma lists expanded, as (tenant, quota). */
+std::vector<std::pair<std::string, TenantQuota>>
+tenantQuotas(const support::CliArgs &args)
+{
+    std::vector<std::pair<std::string, TenantQuota>> quotas;
+    for (const auto &list : args.getAll("quota")) {
+        for (const auto &spec : support::split(list, ',')) {
+            if (spec.empty())
+                continue;
+            const auto colon = spec.find(':');
+            TenantQuota quota;
+            const std::string error =
+                colon == std::string::npos || colon == 0
+                    ? "want tenant:rate:burst:maxQueued:weight"
+                    : parseQuota(spec.substr(colon + 1), quota);
+            if (!error.empty())
+                support::fatal("--quota '", spec, "': ", error);
+            quotas.emplace_back(spec.substr(0, colon), quota);
+        }
     }
+    return quotas;
 }
 
 } // namespace
@@ -68,64 +111,63 @@ appendCommaSeparated(std::vector<std::string> &out,
 int
 main(int argc, char **argv)
 {
-    stats::serving::ServeArgs args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string word = argv[i];
-        if (!stats::support::startsWith(word, "--")) {
-            usage();
-            return 1;
-        }
-        const auto eq = word.find('=');
-        const std::string key =
-            word.substr(2, eq == std::string::npos
-                               ? std::string::npos
-                               : eq - 2);
-        const std::string value =
-            eq == std::string::npos ? "" : word.substr(eq + 1);
-        if (key == "socket") {
-            args.socketPath = value;
-        } else if (key == "quota") {
-            appendCommaSeparated(args.quotaSpecs, value);
-        } else if (key == "default-quota") {
-            args.defaultQuotaSpec = value;
-        } else if (key == "quantum") {
-            try {
-                args.quantum = std::stod(value);
-            } catch (const std::exception &) {
-                std::cerr << "statsd: --quantum wants a number, "
-                             "got '" << value << "'\n";
-                return 1;
-            }
-            if (!(args.quantum > 0.0)) {
-                std::cerr << "statsd: --quantum must be positive\n";
-                return 1;
-            }
-        } else if (key == "execution-workers") {
-            try {
-                args.executionWorkers = std::stoul(value);
-            } catch (const std::exception &) {
-                std::cerr << "statsd: --execution-workers wants a "
-                             "number, got '" << value << "'\n";
-                return 1;
-            }
-            if (args.executionWorkers < 1) {
-                std::cerr << "statsd: --execution-workers must be "
-                             "at least 1\n";
-                return 1;
-            }
-        } else if (key == "no-analysis") {
-            args.runAnalysis = false;
-        } else if (key == "trace") {
-            args.trace = true;
-        } else if (key == "metrics") {
-            args.metricsPath = value;
-        } else if (key == "help") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            return 1;
-        }
+    const support::CliArgs args(argc, argv, 1);
+    if (args.has("help")) {
+        usage();
+        return 0;
     }
-    return stats::serving::serveMain(args);
+    if (!args.positional().empty() ||
+        args.unknownOption({"socket", "quota", "default-quota",
+                            "quantum", "execution-workers",
+                            "no-analysis", "trace", "metrics"})) {
+        usage();
+        return 1;
+    }
+
+    Server::Options options;
+    options.runAnalysis = !args.has("no-analysis");
+    options.quantum = args.getDouble("quantum", 1.0);
+    if (!(options.quantum > 0.0))
+        support::fatal("--quantum must be positive");
+    options.executionWorkers = args.getU64("execution-workers", 0);
+    if (args.has("execution-workers") && options.executionWorkers < 1)
+        support::fatal("--execution-workers must be at least 1");
+    const std::string default_quota = args.get("default-quota", "");
+    if (!default_quota.empty()) {
+        const std::string error =
+            parseQuota(default_quota, options.defaultQuota);
+        if (!error.empty())
+            support::fatal("--default-quota: ", error);
+    }
+    const auto quotas = tenantQuotas(args);
+    const std::string metrics_path = args.get("metrics", "");
+    if (args.has("trace")) {
+        obs::Trace::global().enable();
+        if (!obs::traceActive())
+            support::fatal("--trace needs tracing compiled in "
+                           "(built with STATS_OBS_DISABLE)");
+    }
+
+    Daemon daemon(args.get("socket", "statsd.sock"), std::move(options));
+    for (const auto &[tenant, quota] : quotas)
+        daemon.server().setQuota(tenant, quota);
+
+    std::cout << "statsd: serving on " << daemon.socketPath()
+              << " (analysis "
+              << (args.has("no-analysis") ? "off" : "on") << ", "
+              << daemon.server().workerCount() << " worker(s))\n";
+    daemon.serveForever();
+
+    std::cout << "statsd: drained after "
+              << daemon.server().completedCount()
+              << " completed request(s)\n";
+    if (!metrics_path.empty()) {
+        std::ofstream out(metrics_path);
+        if (!out)
+            support::fatal("cannot open '", metrics_path, "'");
+        obs::MetricsRegistry::global().writeJson(out);
+        std::cout << "statsd: wrote metrics to " << metrics_path
+                  << "\n";
+    }
+    return 0;
 }

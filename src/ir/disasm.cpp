@@ -30,7 +30,9 @@ regName(std::uint16_t reg)
 {
     if (reg == kNoReg)
         return "_";
-    return "r" + std::to_string(reg);
+    std::string name = "r";
+    name += std::to_string(reg);
+    return name;
 }
 
 const char *

@@ -1,11 +1,11 @@
 /**
  * @file
  * Text rendering of record logs: the single source of the line
- * formats `stats-replay inspect` and `stats-replay diff` print.
+ * formats `statscc log inspect` and `statscc log diff` print.
  *
- * Extracted from the tool so the formats can be golden-tested
+ * Kept out of the driver so the formats can be golden-tested
  * (tests/replay_diff_golden_test.cpp): the renderers return strings
- * byte-identical to what the tool writes to stdout.
+ * byte-identical to what the driver writes to stdout.
  */
 
 #pragma once
@@ -21,14 +21,14 @@ std::string renderRecord(const Record &record);
 
 struct DiffRender
 {
-    /** Exactly what `stats-replay diff a b` prints. */
+    /** Exactly what `statscc log diff a b` prints. */
     std::string text;
 
-    /** True when the logs match (the tool's exit-0 condition). */
+    /** True when the logs match (the driver's exit-0 condition). */
     bool identical = false;
 };
 
-/** Compare two logs the way `stats-replay diff` does. */
+/** Compare two logs the way `statscc log diff` does. */
 DiffRender renderDiff(const RecordLog &a, const RecordLog &b);
 
 } // namespace stats::replay

@@ -326,7 +326,7 @@ class SpecEngine
      * Surface a replay divergence as a trace instant. The session has
      * no clock, so hooks return "this was the first divergence" and
      * the engine stamps the event with executor time (arg: the
-     * diverging epoch; details via stats-replay / ReplayReport).
+     * diverging epoch; details via `statscc log diff` / ReplayReport).
      */
     void
     replayMark(bool diverged, std::size_t group, std::size_t input_begin,

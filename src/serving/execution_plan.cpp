@@ -430,7 +430,9 @@ ExecutionPlan::fromText(const std::string &text, std::string &error)
         };
         try {
             if (key == "plan") {
-                if (value != "v" + std::to_string(kPlanSchemaVersion)) {
+                std::string version = "v";
+                version += std::to_string(kPlanSchemaVersion);
+                if (value != version) {
                     lineError("unsupported plan text version '" +
                               value + "'");
                     return std::nullopt;

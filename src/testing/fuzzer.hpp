@@ -11,7 +11,7 @@
  * directory: the full failing case (`<name>.ir`), the shrunk
  * reproducer (`<name>.min.ir`, the form `tests/corpus/` checks in),
  * and the RecordLog of the failing engine runs (`<name>.strl`,
- * replayable with `stats-replay`).
+ * inspectable with `statscc log inspect`).
  */
 
 #pragma once

@@ -7,12 +7,11 @@
  * readable diff.
  *
  * Goldens are regenerated from the repo root with:
- *   build/tools/stats-lint examples/ir/bad/<name>.ir > tests/golden/<name>.txt
- *   build/tools/stats-lint --analysis-format=json ... > tests/golden/<name>.json
+ *   build/statscc analyze examples/ir/bad/<name>.ir > tests/golden/<name>.txt
+ *   build/statscc analyze --analysis-format=json ... > tests/golden/<name>.json
  */
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,9 +21,12 @@
 #include "analysis/lint.hpp"
 #include "ir/parser.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 using namespace stats;
+using namespace stats::repo_files;
 using namespace stats::analysis;
 
 struct BadModule
@@ -48,17 +50,7 @@ badModules()
     return modules;
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-/** The goldens carry the repo-relative path stats-lint was run with. */
+/** The goldens carry the repo-relative path the analyzer was run with. */
 std::string
 relativeIrPath(const std::string &name)
 {
@@ -68,8 +60,7 @@ relativeIrPath(const std::string &name)
 std::vector<Diagnostic>
 analyzeBadModule(const std::string &name)
 {
-    const std::string source = readFile(std::string(STATS_SOURCE_DIR) +
-                                        "/" + relativeIrPath(name));
+    const std::string source = readRepoFile(relativeIrPath(name));
     return runAnalyses(ir::parseModule(source));
 }
 
@@ -98,9 +89,8 @@ TEST(AnalysisGolden, TextReportsMatchGoldens)
         const auto diags = analyzeBadModule(bad.name);
         std::ostringstream out;
         writeDiagnosticsText(out, relativeIrPath(bad.name), diags);
-        const std::string golden =
-            readFile(std::string(STATS_SOURCE_DIR) + "/tests/golden/" +
-                     bad.name + ".txt");
+        const std::string golden = readRepoFile(
+            std::string("tests/golden/") + bad.name + ".txt");
         EXPECT_EQ(out.str(), golden) << bad.name;
     }
 }
@@ -112,9 +102,8 @@ TEST(AnalysisGolden, JsonReportsMatchGoldens)
         std::ostringstream out;
         writeDiagnosticsJson(out, bad.name, relativeIrPath(bad.name),
                              diags);
-        const std::string golden =
-            readFile(std::string(STATS_SOURCE_DIR) + "/tests/golden/" +
-                     bad.name + ".json");
+        const std::string golden = readRepoFile(
+            std::string("tests/golden/") + bad.name + ".json");
         EXPECT_EQ(out.str(), golden) << bad.name;
     }
 }

@@ -8,7 +8,6 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -27,9 +26,12 @@
 #include "ir/parser.hpp"
 #include "midend/midend.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 using namespace stats;
+using namespace stats::repo_files;
 using namespace stats::analysis;
 
 const char *kDiamondModule = R"(
@@ -67,26 +69,10 @@ exit:
 }
 )";
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-std::string
-sourcePath(const std::string &relative)
-{
-    return std::string(STATS_SOURCE_DIR) + "/" + relative;
-}
-
 ir::Module
 loadPipelineModule()
 {
-    return ir::parseModule(readFile(sourcePath("examples/ir/pipeline.ir")));
+    return ir::parseModule(readRepoFile("examples/ir/pipeline.ir"));
 }
 
 std::size_t
@@ -362,7 +348,7 @@ TEST(CloneAudit, TruncationYieldsAud05AndAud06Warnings)
 TEST(CloneAudit, DetectsDivergenceAndDefaultMismatch)
 {
     const ir::Module module = ir::parseModule(
-        readFile(sourcePath("examples/ir/bad/bad_divergent_clone.ir")));
+        readRepoFile("examples/ir/bad/bad_divergent_clone.ir"));
     AnalysisManager manager(module);
     const auto diags = runCloneAudit(manager);
     EXPECT_EQ(countRule(diags, "AUD03"), 1u);
@@ -542,7 +528,7 @@ join:
 TEST(Lint, PassFilterSelectsOnePass)
 {
     const ir::Module module = ir::parseModule(
-        readFile(sourcePath("examples/ir/bad/bad_missing_cast.ir")));
+        readRepoFile("examples/ir/bad/bad_missing_cast.ir"));
     LintOptions purity_only;
     purity_only.pass = "purity";
     EXPECT_TRUE(runAnalyses(module, purity_only).empty());
@@ -613,7 +599,7 @@ TEST(Diagnostics, EveryRuleAndPassIsDocumented)
 {
     // docs/ANALYSIS.md is the contract for rule IDs and pass names;
     // adding a rule without documenting it fails here.
-    const std::string doc = readFile(sourcePath("docs/ANALYSIS.md"));
+    const std::string doc = readRepoFile("docs/ANALYSIS.md");
     for (const auto &rule : allRules()) {
         EXPECT_NE(doc.find(rule.id), std::string::npos)
             << "rule " << rule.id << " is not documented";
@@ -621,7 +607,7 @@ TEST(Diagnostics, EveryRuleAndPassIsDocumented)
             << "summary of " << rule.id << " is not documented";
     }
     for (const auto &pass : passNames())
-        EXPECT_NE(doc.find("`" + pass + "`"), std::string::npos)
+        EXPECT_NE(doc.find(backticked(pass)), std::string::npos)
             << "pass " << pass << " is not documented";
     EXPECT_NE(doc.find("schemaVersion"), std::string::npos);
 }

@@ -22,8 +22,11 @@ tradeoff::StateSpace
 bowlSpace(std::size_t dims, std::int64_t cardinality)
 {
     tradeoff::StateSpace space;
-    for (std::size_t d = 0; d < dims; ++d)
-        space.add("d" + std::to_string(d), cardinality, 0);
+    for (std::size_t d = 0; d < dims; ++d) {
+        std::string name = "d";
+        name += std::to_string(d);
+        space.add(name, cardinality, 0);
+    }
     return space;
 }
 

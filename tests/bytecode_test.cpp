@@ -12,9 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,9 +26,12 @@
 #include "ir/verifier.hpp"
 #include "ir/vm.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 using namespace stats;
+using namespace stats::repo_files;
 using ir::RtValue;
 
 ir::Module
@@ -68,12 +69,8 @@ expectTiersAgree(const ir::Module &module, const std::string &fn,
 TEST(BytecodeCompiler, CompilesTheExampleModules)
 {
     for (const char *name : {"loop_phi", "pipeline", "aux_cloned"}) {
-        std::ifstream in(std::string(STATS_SOURCE_DIR) +
-                         "/examples/ir/" + name + ".ir");
-        ASSERT_TRUE(in.is_open()) << name;
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        const ir::Module module = parse(buffer.str());
+        const ir::Module module = parse(
+            readRepoFile(std::string("examples/ir/") + name + ".ir"));
         const ir::bc::BcModule bc = ir::bc::compileModule(module);
         EXPECT_EQ(bc.compiledCount(), module.functions.size()) << name;
     }
@@ -372,12 +369,8 @@ entry:
 
 TEST(BytecodeVm, LoopsAndBranchesMatchTheWalker)
 {
-    std::ifstream in(std::string(STATS_SOURCE_DIR) +
-                     "/examples/ir/loop_phi.ir");
-    ASSERT_TRUE(in.is_open());
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const ir::Module module = parse(buffer.str());
+    const ir::Module module =
+        parse(readRepoFile("examples/ir/loop_phi.ir"));
     for (std::int64_t n : {0, 1, 2, 10, 999}) {
         expectTiersAgree(module, "sumTo", {RtValue::ofInt(n)});
         expectTiersAgree(module, "clampedMean", {RtValue::ofInt(n)});
@@ -466,12 +459,8 @@ entry:
  */
 TEST(InterpreterDocs, EveryMnemonicIsDocumented)
 {
-    std::ifstream in(std::string(STATS_SOURCE_DIR) +
-                     "/docs/INTERPRETER.md");
-    ASSERT_TRUE(in.is_open()) << "docs/INTERPRETER.md is missing";
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string docs = buffer.str();
+    const std::string docs = readRepoFile("docs/INTERPRETER.md");
+    ASSERT_FALSE(docs.empty());
 
     for (std::size_t k = 0; k < ir::bc::opcodeCount(); ++k) {
         const auto op = static_cast<ir::bc::BcOp>(k);

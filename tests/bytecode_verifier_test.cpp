@@ -7,7 +7,6 @@
  */
 
 #include <cstdint>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,26 +19,13 @@
 #include "ir/parser.hpp"
 #include "testing/generator.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 using namespace stats;
+using namespace stats::repo_files;
 using namespace stats::ir::bc;
-
-std::string
-sourcePath(const std::string &relative)
-{
-    return std::string(STATS_SOURCE_DIR) + "/" + relative;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
 
 BcInst
 inst(BcOp op, std::uint16_t a = 0, std::uint16_t b = 0,
@@ -158,7 +144,7 @@ TEST(BytecodeVerifier, KnownBadCorpusGolden)
         analysis::writeDiagnosticsText(out, fn.name, diags);
     }
     const std::string golden =
-        readFile(sourcePath("tests/golden/bytecode_verifier.txt"));
+        readRepoFile("tests/golden/bytecode_verifier.txt");
     EXPECT_EQ(out.str(), golden);
 }
 
@@ -290,7 +276,7 @@ TEST(BytecodeVerifier, CleanOnExamples)
          {"examples/ir/pipeline.ir", "examples/ir/loop_phi.ir",
           "examples/ir/aux_cloned.ir"}) {
         const ir::Module module =
-            ir::parseModule(readFile(sourcePath(name)));
+            ir::parseModule(readRepoFile(name));
         const auto diags = verifyCompiledModule(module);
         EXPECT_TRUE(diags.empty()) << name;
     }

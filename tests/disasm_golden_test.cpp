@@ -11,8 +11,6 @@
  *   build/statscc disasm examples/ir/<name>.ir > tests/golden/<name>.disasm
  */
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -22,25 +20,18 @@
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 using namespace stats;
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
+using namespace stats::repo_files;
 
 std::string
 disassembleExample(const std::string &name)
 {
-    const std::string source = readFile(
-        std::string(STATS_SOURCE_DIR) + "/examples/ir/" + name + ".ir");
+    const std::string source =
+        readRepoFile("examples/ir/" + name + ".ir");
     const ir::Module module = ir::parseModule(source);
     EXPECT_TRUE(ir::verifyModule(module).empty()) << name;
     return ir::bc::disassemble(ir::bc::compileModule(module));
@@ -49,9 +40,8 @@ disassembleExample(const std::string &name)
 TEST(DisasmGolden, ExamplesMatchGoldensByteForByte)
 {
     for (const char *name : {"loop_phi", "pipeline"}) {
-        const std::string golden =
-            readFile(std::string(STATS_SOURCE_DIR) + "/tests/golden/" +
-                     name + ".disasm");
+        const std::string golden = readRepoFile(
+            std::string("tests/golden/") + name + ".disasm");
         EXPECT_EQ(disassembleExample(name), golden) << name;
     }
 }

@@ -11,8 +11,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,11 +19,14 @@
 #include "testing/fuzz_case.hpp"
 #include "testing/oracle.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 // gtest owns `::testing`, so the subsystem keeps its full name here.
 namespace st = stats::testing;
 namespace fs = std::filesystem;
+using namespace stats::repo_files;
 
 std::vector<fs::path>
 corpusFiles()
@@ -66,18 +67,6 @@ TEST(FuzzCorpus, EveryCaseReplaysClean)
 // docs/TESTING.md lockstep
 // ---------------------------------------------------------------------
 
-std::string
-readRepoFile(const char *relative)
-{
-    const std::string path =
-        std::string(STATS_SOURCE_DIR) + "/" + relative;
-    std::ifstream in(path);
-    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
 /** LABELS registered by tests/CMakeLists.txt (`LABELS <name>`). */
 std::vector<std::string>
 registeredLabels()
@@ -108,13 +97,13 @@ TEST(TestingDocs, TierTableCoversEveryRegisteredLabel)
     // keep existing. Adding a new LABELS value without documenting it
     // fails here.
     for (const auto &label : registeredLabels()) {
-        EXPECT_NE(docs.find("`" + label + "`"), std::string::npos)
+        EXPECT_NE(docs.find(backticked(label)), std::string::npos)
             << "ctest label '" << label
             << "' is not documented in docs/TESTING.md";
     }
     for (const char *tier : {"unit", "golden", "property", "stress",
                              "fuzz"}) {
-        EXPECT_NE(docs.find("`" + std::string(tier) + "`"),
+        EXPECT_NE(docs.find(backticked(tier)),
                   std::string::npos)
             << "tier '" << tier << "' missing from docs/TESTING.md";
     }

@@ -9,8 +9,6 @@
  */
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,20 +16,13 @@
 
 #include "ir/parser.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
 using namespace stats;
-
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
+using namespace stats::repo_files;
 
 std::vector<fs::path>
 exampleModules()

@@ -14,7 +14,6 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -30,9 +29,12 @@
 #include "sdi/matchers.hpp"
 #include "sdi/spec_engine.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 using namespace stats;
+using namespace stats::repo_files;
 using obs::Event;
 using obs::EventType;
 using sdi::SpecConfig;
@@ -475,17 +477,12 @@ TEST(ObservabilitySchema, EveryEventTypeHasAUniqueName)
 
 TEST(ObservabilitySchema, DocumentationCoversEveryEventType)
 {
-    const std::string path =
-        std::string(STATS_SOURCE_DIR) + "/docs/OBSERVABILITY.md";
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string doc = buffer.str();
+    const std::string doc = readRepoFile("docs/OBSERVABILITY.md");
+    ASSERT_FALSE(doc.empty());
     for (int i = 0; i < obs::kEventTypeCount; ++i) {
         const std::string name =
             obs::eventTypeName(static_cast<EventType>(i));
-        EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
+        EXPECT_NE(doc.find(backticked(name)), std::string::npos)
             << "docs/OBSERVABILITY.md does not document event type "
             << name;
     }

@@ -1,9 +1,9 @@
 /**
  * @file
- * Golden-file tests of the `stats-replay diff` renderer
+ * Golden-file tests of the `statscc log diff` renderer
  * (replay/log_render.hpp). The goldens under tests/golden/ pin the
- * diff output byte-for-byte — `stats-replay diff` prints exactly
- * `renderDiff(a, b).text`, so these tests freeze the tool's output
+ * diff output byte-for-byte — `statscc log diff` prints exactly
+ * `renderDiff(a, b).text`, so these tests freeze the driver's output
  * format for the three interesting outcomes: a mid-stream record
  * difference, identical logs, and skewed headers with a record-count
  * difference.
@@ -13,7 +13,6 @@
  * tests/golden/replay_diff_<name>.txt.
  */
 
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -22,24 +21,15 @@
 #include "replay/log_render.hpp"
 #include "replay/record_log.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 using namespace stats;
+using namespace stats::repo_files;
 using replay::Record;
 using replay::RecordKind;
 using replay::RecordLog;
-
-std::string
-readGolden(const std::string &name)
-{
-    const std::string path = std::string(STATS_SOURCE_DIR) +
-                             "/tests/golden/" + name;
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
 
 Record
 record(RecordKind kind, std::uint32_t epoch, std::int32_t group,
@@ -104,7 +94,8 @@ TEST(ReplayDiffGolden, MismatchedVerdictRendersBothSides)
 
     const replay::DiffRender render = replay::renderDiff(a, b);
     EXPECT_FALSE(render.identical);
-    EXPECT_EQ(render.text, readGolden("replay_diff_mismatch.txt"));
+    EXPECT_EQ(render.text,
+              readRepoFile("tests/golden/replay_diff_mismatch.txt"));
 }
 
 TEST(ReplayDiffGolden, IdenticalLogsSaySo)
@@ -112,7 +103,8 @@ TEST(ReplayDiffGolden, IdenticalLogsSaySo)
     const replay::DiffRender render =
         replay::renderDiff(baseLog(), baseLog());
     EXPECT_TRUE(render.identical);
-    EXPECT_EQ(render.text, readGolden("replay_diff_identical.txt"));
+    EXPECT_EQ(render.text,
+              readRepoFile("tests/golden/replay_diff_identical.txt"));
 }
 
 TEST(ReplayDiffGolden, SeedSkewAndTruncationBothReported)
@@ -124,7 +116,8 @@ TEST(ReplayDiffGolden, SeedSkewAndTruncationBothReported)
 
     const replay::DiffRender render = replay::renderDiff(a, b);
     EXPECT_FALSE(render.identical);
-    EXPECT_EQ(render.text, readGolden("replay_diff_seed_skew.txt"));
+    EXPECT_EQ(render.text,
+              readRepoFile("tests/golden/replay_diff_seed_skew.txt"));
 }
 
 /** The diff renderer and the save/load round trip must agree. */

@@ -12,7 +12,6 @@
  */
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -30,9 +29,12 @@
 #include "support/rng.hpp"
 #include "support/seed_sequence.hpp"
 
+#include "repo_files.hpp"
+
 namespace {
 
 using namespace stats;
+using namespace stats::repo_files;
 using sdi::SpecConfig;
 
 // =====================================================================
@@ -828,18 +830,6 @@ TEST_F(ReplaySessionTest, MistrainPerturbsObjectivesDeterministically)
 // Documentation lockstep (docs/REPLAY.md)
 // =====================================================================
 
-std::string
-readRepoFile(const std::string &relative)
-{
-    const std::string path =
-        std::string(STATS_SOURCE_DIR) + "/" + relative;
-    std::ifstream in(path);
-    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
 TEST(ReplayDocs, DocumentationCoversTheSchema)
 {
     const std::string doc = readRepoFile("docs/REPLAY.md");
@@ -857,13 +847,13 @@ TEST(ReplayDocs, DocumentationCoversTheSchema)
     for (int k = 0; k < replay::kRecordKindCount; ++k) {
         const std::string name =
             replay::recordKindName(static_cast<replay::RecordKind>(k));
-        EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
+        EXPECT_NE(doc.find(backticked(name)), std::string::npos)
             << "docs/REPLAY.md does not document record kind " << name;
     }
     for (int k = 0; k < replay::kFaultKindCount; ++k) {
         const std::string name =
             replay::faultKindName(static_cast<replay::FaultKind>(k));
-        EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
+        EXPECT_NE(doc.find(backticked(name)), std::string::npos)
             << "docs/REPLAY.md does not document fault kind " << name;
     }
 

@@ -69,6 +69,15 @@ seedTag(const char *stream, int index)
     return buffer;
 }
 
+/** Tenant `index`'s name: "t0", "t1", ... */
+std::string
+tenantName(std::int64_t index)
+{
+    std::string name = "t";
+    name += std::to_string(index);
+    return name;
+}
+
 /** A plan whose program identity is steered via stepBudget. */
 ExecutionPlan
 makePlan(const std::string &tenant, int lanes, int priority,
@@ -154,7 +163,7 @@ TEST(SchedulerPropertyTest, RandomWorkloadsDispatchEveryPlanOnce)
 
         const int tenants = static_cast<int>(rng.uniformInt(2, 6));
         for (int t = 0; t < tenants; ++t)
-            scheduler.setWeight("t" + std::to_string(t),
+            scheduler.setWeight(tenantName(t),
                                 static_cast<int>(rng.uniformInt(1, 8)));
 
         std::uint64_t next_id = 1;
@@ -164,7 +173,7 @@ TEST(SchedulerPropertyTest, RandomWorkloadsDispatchEveryPlanOnce)
             const int plans = static_cast<int>(rng.uniformInt(0, 12));
             for (int p = 0; p < plans; ++p) {
                 auto plan = makePlan(
-                    "t" + std::to_string(t),
+                    tenantName(t),
                     static_cast<int>(rng.uniformInt(1, 8)),
                     static_cast<int>(rng.uniformInt(-2, 2)),
                     static_cast<std::uint64_t>(rng.uniformInt(0, 3)));
@@ -211,7 +220,7 @@ TEST(SchedulerPropertyTest, BlockedBatchableKeysAreNeverDispatched)
         const int plans = static_cast<int>(rng.uniformInt(4, 24));
         for (int p = 0; p < plans; ++p) {
             auto plan = makePlan(
-                "t" + std::to_string(rng.uniformInt(0, 3)),
+                tenantName(rng.uniformInt(0, 3)),
                 static_cast<int>(rng.uniformInt(1, 6)),
                 static_cast<int>(rng.uniformInt(-1, 1)),
                 static_cast<std::uint64_t>(rng.uniformInt(0, 2)));
@@ -266,13 +275,13 @@ TEST(SchedulerPropertyTest, BackloggedTenantsGetWeightedShares)
         for (int t = 0; t < tenants; ++t) {
             weight[t] = static_cast<int>(rng.uniformInt(1, 6));
             weight_sum += weight[t];
-            scheduler.setWeight("t" + std::to_string(t), weight[t]);
+            scheduler.setWeight(tenantName(t), weight[t]);
             // Enough backlog that nobody runs dry mid-measurement.
             backlog[t] = weight[t] * kRounds;
             for (int p = 0; p < backlog[t]; ++p) {
                 // Lanes 1: dispatch units are single plans, so the
                 // prefix counts below measure pure WDRR service.
-                auto plan = makePlan("t" + std::to_string(t), 1, 0,
+                auto plan = makePlan(tenantName(t), 1, 0,
                                      /*program=*/0);
                 owner[next_id] = t;
                 scheduler.enqueue(

@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -40,11 +39,13 @@
 #include "serving/scheduler.hpp"
 #include "serving/server.hpp"
 
+#include "repo_files.hpp"
 #include "serving_test_util.hpp"
 
 namespace {
 
 using namespace stats;
+using namespace stats::repo_files;
 using serving::AdmissionController;
 using serving::AdmissionVerdict;
 using serving::ExecutionPlan;
@@ -118,22 +119,6 @@ numberedModule(std::size_t n)
            "  %b = add i64 %a, %input\n"
            "  ret i64 %b\n"
            "}\n";
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-std::string
-sourcePath(const std::string &relative)
-{
-    return std::string(STATS_SOURCE_DIR) + "/" + relative;
 }
 
 /** A sequential plan over the fixture module. */
@@ -276,13 +261,13 @@ TEST(ExecutionPlanTest, BenchmarkKindRoundTrips)
 TEST(ExecutionPlanTest, BinaryGoldenIsByteExact)
 {
     EXPECT_EQ(goldenPlan().saveToString(),
-              readFile(sourcePath("tests/golden/serving_plan.stpl")));
+              readRepoFile("tests/golden/serving_plan.stpl"));
 }
 
 TEST(ExecutionPlanTest, TextGoldenIsByteExact)
 {
     EXPECT_EQ(goldenPlan().toText(),
-              readFile(sourcePath("tests/golden/serving_plan.txt")));
+              readRepoFile("tests/golden/serving_plan.txt"));
 }
 
 TEST(ExecutionPlanTest, VersionSkewIsRejectedNotGuessed)
@@ -440,7 +425,7 @@ TEST(AdmissionTest, LintRunsAtAdmissionUnlessDisabled)
 {
     ExecutionPlan impure = seqPlan();
     impure.moduleText =
-        readFile(sourcePath("examples/ir/bad/bad_impure_clone.ir"));
+        readRepoFile("examples/ir/bad/bad_impure_clone.ir");
     EXPECT_EQ(AdmissionController::validate(impure, true).reason,
               RejectReason::AnalysisError);
     // statsd --no-analysis skips exactly this stage.
@@ -451,7 +436,7 @@ TEST(AdmissionTest, LintRunsAtAdmissionUnlessDisabled)
 TEST(AdmissionTest, ConfigurationPointMustBindToRealTradeoffs)
 {
     ExecutionPlan plan = seqPlan();
-    plan.moduleText = readFile(sourcePath("examples/ir/pipeline.ir"));
+    plan.moduleText = readRepoFile("examples/ir/pipeline.ir");
 
     plan.tradeoffIndices = {{"aux::T_42", 4}};
     EXPECT_TRUE(AdmissionController::validate(plan, true).admitted());
@@ -491,9 +476,9 @@ TEST(AdmissionTest, ServerVerdictsEqualStaticValidateOnEverySubmit)
     std::string error;
     std::vector<ExecutionPlan> bases = {seqPlan(), specPlan()};
     const auto golden_binary = ExecutionPlan::load(
-        readFile(sourcePath("tests/golden/serving_plan.stpl")), error);
+        readRepoFile("tests/golden/serving_plan.stpl"), error);
     const auto golden_text = ExecutionPlan::fromText(
-        readFile(sourcePath("tests/golden/serving_plan.txt")), error);
+        readRepoFile("tests/golden/serving_plan.txt"), error);
     ASSERT_TRUE(golden_binary && golden_text) << error;
     bases.push_back(*golden_binary);
     bases.push_back(*golden_text);
@@ -501,8 +486,8 @@ TEST(AdmissionTest, ServerVerdictsEqualStaticValidateOnEverySubmit)
     // A lint-failing module under a bad tradeoff index: the binding
     // check ranks first.
     ExecutionPlan lint_and_index = seqPlan();
-    lint_and_index.moduleText = readFile(
-        sourcePath("examples/ir/bad/bad_divergent_clone.ir"));
+    lint_and_index.moduleText = readRepoFile(
+        "examples/ir/bad/bad_divergent_clone.ir");
     lint_and_index.tradeoffIndices = {{"aux::T_9", 1000}};
     ASSERT_EQ(AdmissionController::validate(lint_and_index, true).reason,
               RejectReason::VerifyError);
@@ -532,7 +517,7 @@ TEST(AdmissionTest, PlanChecksRunAgainstACachedModule)
 {
     Server server(openOptions(true));
     ExecutionPlan good = seqPlan();
-    good.moduleText = readFile(sourcePath("examples/ir/pipeline.ir"));
+    good.moduleText = readRepoFile("examples/ir/pipeline.ir");
     good.tradeoffIndices = {{"aux::T_42", 4}};
     ASSERT_TRUE(server.submitPlan(good).admitted());
 
@@ -843,8 +828,8 @@ TEST(RunnerTest, MismatchedComputeSignatureFailsTheRun)
     // function takes one argument: the run fails instead of
     // panicking the interpreter.
     ExecutionPlan plan = seqPlan();
-    plan.moduleText = readFile(
-        sourcePath("examples/ir/bad/bad_unfrozen_tradeoff.ir"));
+    plan.moduleText = readRepoFile(
+        "examples/ir/bad/bad_unfrozen_tradeoff.ir");
     ASSERT_TRUE(AdmissionController::validate(plan, true).admitted());
     const PlanResult result = PlanRunner().runPlan(plan);
     EXPECT_FALSE(result.ok);
@@ -1195,27 +1180,27 @@ TEST(DaemonTest, MalformedSubmissionsAreRejectedNotFatal)
 /** docs/SERVING.md must name every enum constant it documents. */
 TEST(ServingDocsTest, DocsNameEveryRejectReasonAndMessageType)
 {
-    const std::string doc = readFile(sourcePath("docs/SERVING.md"));
+    const std::string doc = readRepoFile("docs/SERVING.md");
     for (int i = 0; i < serving::kRejectReasonCount; ++i) {
         const std::string name = serving::rejectReasonName(
             static_cast<RejectReason>(i));
         if (name == std::string("None"))
             continue;
-        EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
+        EXPECT_NE(doc.find(backticked(name)), std::string::npos)
             << "docs/SERVING.md must document RejectReason::" << name;
     }
     for (const char *name :
          {"SubmitReq", "StatusReq", "ResultReq", "ReplayFetchReq",
           "DrainReq", "SubmitOk", "SubmitRejected", "StatusResp",
           "ResultResp", "ReplayFetchResp", "DrainResp", "ErrorResp"})
-        EXPECT_NE(doc.find("`" + std::string(name) + "`"),
+        EXPECT_NE(doc.find(backticked(name)),
                   std::string::npos)
             << "docs/SERVING.md must document MsgType::" << name;
 }
 
 TEST(ServingDocsTest, DocsNameEveryPlanTextKeyAndTheMagic)
 {
-    const std::string doc = readFile(sourcePath("docs/SERVING.md"));
+    const std::string doc = readRepoFile("docs/SERVING.md");
     EXPECT_NE(doc.find("`STPL`"), std::string::npos);
     for (const char *key :
          {"kind", "tenant", "priority", "seed", "exec-tier",
@@ -1224,22 +1209,22 @@ TEST(ServingDocsTest, DocsNameEveryPlanTextKeyAndTheMagic)
           "inputs", "initial-state", "noisy-percent", "max-noise",
           "config", "faults", "benchmark", "bench-mode",
           "bench-threads", "bench-workload", "module"})
-        EXPECT_NE(doc.find("`" + std::string(key) + "`"),
+        EXPECT_NE(doc.find(backticked(key)),
                   std::string::npos)
             << "docs/SERVING.md must document plan key " << key;
     for (const char *kind : {"ir-seq", "ir-spec", "benchmark"})
-        EXPECT_NE(doc.find("`" + std::string(kind) + "`"),
+        EXPECT_NE(doc.find(backticked(kind)),
                   std::string::npos)
             << "docs/SERVING.md must document job kind " << kind;
 }
 
 TEST(ServingDocsTest, ServingDocIsLinkedFromTheDocIndexes)
 {
-    EXPECT_NE(readFile(sourcePath("README.md")).find("SERVING.md"),
+    EXPECT_NE(readRepoFile("README.md").find("SERVING.md"),
               std::string::npos)
         << "README.md must link docs/SERVING.md";
     EXPECT_NE(
-        readFile(sourcePath("docs/README.md")).find("SERVING.md"),
+        readRepoFile("docs/README.md").find("SERVING.md"),
         std::string::npos)
         << "docs/README.md must link SERVING.md";
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: PRVGs, statistics, JSON
- * writing, string utilities.
+ * writing, string utilities, command-line parsing.
  */
 
 #include <cmath>
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/cli_args.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
@@ -197,6 +198,60 @@ TEST(Table, AlignsColumns)
     EXPECT_NE(text.find("swaptions"), std::string::npos);
     EXPECT_NE(text.find("12.35"), std::string::npos);
     EXPECT_NE(text.find("-----"), std::string::npos);
+}
+
+TEST(CliArgs, KeepsPositionalsFlagsAndEveryRepeat)
+{
+    const CliArgs args({"a.ir", "--quiet", "--quota=x:1:1:1:1", "b.ir",
+                        "--quota=y:2:2:2:2", "--artifacts="});
+    EXPECT_EQ(args.positional(), (std::vector<std::string>{"a.ir",
+                                                           "b.ir"}));
+    EXPECT_TRUE(args.has("quiet"));
+    EXPECT_EQ(args.get("quiet", ""), "true");
+    EXPECT_EQ(args.get("quota", ""), "y:2:2:2:2");
+    EXPECT_EQ(args.getAll("quota"),
+              (std::vector<std::string>{"x:1:1:1:1", "y:2:2:2:2"}));
+    EXPECT_EQ(args.get("artifacts", "dir"), "");
+    EXPECT_EQ(args.get("absent", "dir"), "dir");
+    EXPECT_EQ(args.unknownOption({"quiet", "quota", "artifacts"}),
+              std::nullopt);
+    EXPECT_EQ(args.unknownOption({"quiet", "artifacts"}), "quota");
+}
+
+TEST(CliArgs, NumbersParseWholeOrNotAtAll)
+{
+    EXPECT_EQ(parseInt("-12"), -12);
+    EXPECT_EQ(parseInt("12x"), std::nullopt);
+    EXPECT_EQ(parseInt(""), std::nullopt);
+    EXPECT_EQ(parseInt("99999999999999999999"), std::nullopt);
+    EXPECT_EQ(parseU64("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseU64("-1"), std::nullopt);
+    EXPECT_EQ(parseDouble("0.5"), 0.5);
+    EXPECT_EQ(parseDouble("1e999999"), std::nullopt);
+    EXPECT_EQ(parseDouble("nan"), std::nullopt);
+
+    const CliArgs args({"--threads=4", "--seed=7", "--quantum=2.5"});
+    EXPECT_EQ(args.getInt("threads", 28, 1), 4);
+    EXPECT_EQ(args.getInt("runs", 500, 1), 500);
+    EXPECT_EQ(args.getU64("seed", 0), 7u);
+    EXPECT_EQ(args.getDouble("quantum", 1.0), 2.5);
+}
+
+TEST(CliArgsDeathTest, MalformedNumberIsAUsageErrorNotAnAbort)
+{
+    const CliArgs args({"--threads=x", "--runs=0", "--seed=-3",
+                        "--quantum=fast", "--limit=4294967296"});
+    const auto usage_error = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(args.getInt("threads", 28), usage_error,
+                "--threads wants an integer, got 'x'");
+    EXPECT_EXIT(args.getInt("runs", 500, 1), usage_error,
+                "--runs wants an integer >= 1, got '0'");
+    EXPECT_EXIT(args.getU64("seed", 0), usage_error,
+                "--seed wants an unsigned integer");
+    EXPECT_EXIT(args.getDouble("quantum", 1.0), usage_error,
+                "--quantum wants a number");
+    EXPECT_EXIT(args.getInt("limit", 64, 0), usage_error,
+                "--limit wants an integer");
 }
 
 } // namespace
