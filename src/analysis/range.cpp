@@ -365,13 +365,6 @@ ValueRange::ofFloat(double lo, double hi, bool nan)
 }
 
 bool
-ValueRange::isTop() const
-{
-    return mayInt && intLo == kI64Min && intHi == kI64Max && mayFloat &&
-           fltLo == -kInf && fltHi == kInf && maybeNaN;
-}
-
-bool
 ValueRange::containsInt(std::int64_t v) const
 {
     return mayInt && intLo <= v && v <= intHi;
@@ -385,14 +378,6 @@ ValueRange::containsFloat(double v) const
     if (std::isnan(v))
         return maybeNaN;
     return fltLo <= v && v <= fltHi;
-}
-
-std::optional<std::int64_t>
-ValueRange::constantInt() const
-{
-    if (mayInt && !mayFloat && intLo == intHi)
-        return intLo;
-    return std::nullopt;
 }
 
 bool

@@ -63,15 +63,11 @@ struct ValueRange
     static ValueRange ofConstFloat(double v) { return ofFloat(v, v); }
 
     bool isBottom() const { return !mayInt && !mayFloat; }
-    bool isTop() const;
 
     /** Whether an integer-classed value `v` is admitted. */
     bool containsInt(std::int64_t v) const;
     /** Whether a float-classed value `v` (possibly NaN) is admitted. */
     bool containsFloat(double v) const;
-
-    /** The single admitted value when the range is {one integer}. */
-    std::optional<std::int64_t> constantInt() const;
 
     /** In-place union; returns true when this range grew. */
     bool join(const ValueRange &other);

@@ -75,10 +75,7 @@ Autotuner::tune(const Objective &objective, int budget,
             // Mistrain fault: perturb the measured objective before it
             // reaches the cache, the bandit, and the techniques — the
             // tuner trains on systematically wrong observations.
-            if (replay::sessionEngaged()) {
-                value = replay::ReplaySession::current()
-                            .mistrainObjective(value);
-            }
+            value = replay::ReplaySession::global().mistrainObjective(value);
             _results.emplace(config, value);
             ++result.evaluations;
             evaluations_counter.add();

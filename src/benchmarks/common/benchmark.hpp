@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "replay/session.hpp"
 #include "sdi/spec_config.hpp"
 #include "sim/machine.hpp"
 #include "tradeoff/registry.hpp"
@@ -96,6 +97,10 @@ struct RunRequest
 
     /** Speculation policy (STATS by default; see section 4.4). */
     SpeculationPolicy policy = SpeculationPolicy::StatsAux;
+
+    /** Record/replay session the run's engine reports to (never
+     *  null). */
+    replay::ReplaySession *session = &replay::ReplaySession::global();
 };
 
 /** Result of one benchmark execution. */

@@ -69,20 +69,20 @@ applyPolicy(SpeculationPolicy policy,
 }
 
 /**
- * Execute a program with one engine configuration on the simulated
- * machine. The real kernels run on the host; time and energy come
+ * Execute a program with one engine configuration on the request's
+ * simulated machine and threads, reporting to the request's replay
+ * session. The real kernels run on the host; time and energy come
  * from the platform model.
  */
 template <class Input, class State, class Output>
 RunResult
 runSdiProgram(const SdiProgram<Input, State, Output> &program,
-              const sdi::SpecConfig &spec,
-              const sim::MachineConfig &machine, int threads)
+              const sdi::SpecConfig &spec, const RunRequest &request)
 {
-    exec::SimExecutor executor(machine, threads);
+    exec::SimExecutor executor(request.machine, request.threads);
     typename SdiProgram<Input, State, Output>::Engine engine(
         executor, program.inputs, program.initialState, program.compute,
-        program.auxiliary, program.matcher, spec);
+        program.auxiliary, program.matcher, spec, *request.session);
     engine.start();
     engine.join();
 

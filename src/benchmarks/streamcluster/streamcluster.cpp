@@ -344,7 +344,7 @@ StreamBenchmarkBase::run(const RunRequest &request)
     exec::SimExecutor executor(request.machine, request.threads);
     SdiProgram<PointBatch, Solution, SolutionSnapshot>::Engine engine(
         executor, program.inputs, program.initialState, program.compute,
-        program.auxiliary, program.matcher, spec);
+        program.auxiliary, program.matcher, spec, *request.session);
     engine.start();
     engine.join();
 

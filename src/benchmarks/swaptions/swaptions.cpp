@@ -222,8 +222,7 @@ SwaptionsBenchmark::run(const RunRequest &request)
         specConfigFor(space, config, request.mode, request.threads);
     sdi::SpecConfig policy_spec = spec;
     applyPolicy(request.policy, program, policy_spec);
-    return runSdiProgram(program, policy_spec, request.machine,
-                         request.threads);
+    return runSdiProgram(program, policy_spec, request);
 }
 
 std::vector<double>

@@ -102,9 +102,8 @@ ThreadExecutor::runRecord(TaskRecord *rec, bool cancelled)
         // of the record log, so a stalled recording replays cleanly
         // without the plan (stalls perturb interleaving, not the
         // engine's decision sequence; see docs/REPLAY.md §4).
-        if (replay::sessionEngaged() &&
-            task.tag.kind != obs::TaskKind::None) {
-            auto &session = replay::ReplaySession::current();
+        if (task.tag.kind != obs::TaskKind::None) {
+            auto &session = replay::ReplaySession::global();
             const double stall = session.taskStallSeconds(
                 static_cast<int>(task.tag.kind), task.tag.group);
             if (stall > 0.0) {

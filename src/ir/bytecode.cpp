@@ -1332,12 +1332,6 @@ opcodeFormat(BcOp op)
     return kFormats[std::size_t(op)];
 }
 
-bool
-isSuperinstruction(BcOp op)
-{
-    return std::size_t(op) >= std::size_t(BcOp::MulAddI);
-}
-
 std::size_t
 opcodeCount()
 {

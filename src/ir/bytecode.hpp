@@ -123,7 +123,6 @@ enum class BcFormat
 
 const char *opcodeMnemonic(BcOp op);
 BcFormat opcodeFormat(BcOp op);
-bool isSuperinstruction(BcOp op);
 std::size_t opcodeCount();
 
 /** "No register" marker for value-less call results. */

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "support/json.hpp"
-#include "support/table.hpp"
 
 namespace stats::obs {
 
@@ -183,28 +182,6 @@ MetricsRegistry::writeJson(std::ostream &out, bool pretty) const
 
     json.endObject();
     out << "\n";
-}
-
-void
-MetricsRegistry::printTable(std::ostream &out) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    support::TextTable table({"metric", "kind", "value"});
-    for (const auto &[name, counter] : _counters)
-        table.addRow({name, "counter", std::to_string(counter->value())});
-    for (const auto &[name, gauge] : _gauges) {
-        table.addRow({name, "gauge",
-                      support::TextTable::formatDouble(gauge->value(), 6)});
-    }
-    for (const auto &[name, histogram] : _histograms) {
-        const auto snap = histogram->snapshot();
-        table.addRow(
-            {name, "histogram",
-             "n=" + std::to_string(snap.count) +
-                 " mean=" + support::TextTable::formatDouble(snap.mean(), 6) +
-                 " max=" + support::TextTable::formatDouble(snap.max, 6)});
-    }
-    table.print(out);
 }
 
 void

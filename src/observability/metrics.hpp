@@ -2,7 +2,7 @@
  * @file
  * The metrics registry of the observability layer: named counters,
  * gauges, and histograms, queryable programmatically and dumped as
- * JSON or a plain-text table.
+ * JSON.
  *
  * Counters and gauges are single relaxed atomics; histograms take a
  * per-histogram mutex (they are updated off the engine's hot path —
@@ -121,9 +121,6 @@ class MetricsRegistry
      * {"counters": {...}, "gauges": {...}, "histograms": {...}}.
      */
     void writeJson(std::ostream &out, bool pretty = true) const;
-
-    /** Plain-text summary table (support::TextTable layout). */
-    void printTable(std::ostream &out) const;
 
     /** Remove every metric (invalidates previously returned refs). */
     void clear();

@@ -29,34 +29,11 @@ Divergence::describe() const
     return out.str();
 }
 
-namespace {
-
-// The thread's installed session, if any. Raw pointer: installation
-// is strictly scoped (ScopedSessionInstall), so lifetime is managed
-// by the installer.
-thread_local ReplaySession *tlSession = nullptr;
-
-} // namespace
-
 ReplaySession &
 ReplaySession::global()
 {
     static ReplaySession session;
     return session;
-}
-
-ReplaySession &
-ReplaySession::current()
-{
-    return tlSession != nullptr ? *tlSession : global();
-}
-
-ReplaySession *
-ReplaySession::installOnThread(ReplaySession *session)
-{
-    ReplaySession *previous = tlSession;
-    tlSession = session;
-    return previous;
 }
 
 // ---------------------------------------------------------------------

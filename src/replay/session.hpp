@@ -1,6 +1,6 @@
 /**
  * @file
- * The process-wide record/replay session (docs/REPLAY.md).
+ * Record/replay sessions (docs/REPLAY.md).
  *
  * Three modes:
  *  - **Off** (default): every hook is a cheap no-op.
@@ -19,17 +19,17 @@
  * decisions *before* they are recorded or compared, so a faulty run
  * records — and replays, under the same plan — exactly.
  *
- * Sessions are **scoped**: every instrumentation site resolves the
- * active session through `ReplaySession::current()`, which returns a
- * thread-locally installed session when one is present and the
- * process-wide `global()` singleton otherwise. Code that wants an
- * isolated record/replay scope (the serving plane runs one per plan)
- * constructs its own ReplaySession and pins it to the executing
- * thread with a `ScopedSessionInstall`; single-run tools (statscc
- * --record/--replay, the oracle, the fuzzer) keep using `global()`
- * unchanged. The engine runs its computation inline on the thread
- * that owns the installation (SimExecutor's timing is virtual), so a
- * thread-local is exactly the right scope.
+ * Sessions are **explicit**: nothing looks a session up behind the
+ * caller's back. A SpecEngine reports to the session it was
+ * constructed with (`ReplaySession::global()` by default), and the
+ * layers above it pass one down — `benchmarks::RunRequest::session`,
+ * `testing::runOracle`, `serving::PlanRunner::runPlan/runBatch`. Code
+ * that wants an isolated record/replay scope (the serving plane runs
+ * one per recording or fault-injecting plan) constructs its own
+ * ReplaySession and hands it to the run; single-run tools (statscc
+ * --record/--replay, the benchmark harness) use `global()`. The
+ * executor's stall hook and the autotuner's mistrain hook always read
+ * `global()`.
  *
  * Threading contract: *within one session*, mode changes
  * (start/finish/fault-plan setters) are quiescent-time operations —
@@ -37,7 +37,7 @@
  * engine-side hooks are invoked from executor-serialized completion
  * callbacks; the executor-side stall hook may be called concurrently
  * but only reads the (immutable-while-running) plan. Distinct
- * sessions installed on distinct threads are fully independent.
+ * sessions are fully independent.
  */
 
 #pragma once
@@ -101,7 +101,7 @@ struct VerdictOutcome
 /**
  * A record/replay session. All engine hooks are safe to call in any
  * mode; in Off mode with no fault plan they reduce to one relaxed
- * atomic load. Most callers reach the session through `current()`.
+ * atomic load.
  */
 class ReplaySession
 {
@@ -112,15 +112,6 @@ class ReplaySession
 
     /** The process-wide default session. */
     static ReplaySession &global();
-
-    /** The session governing this thread: the thread-locally
-     *  installed one if present, else `global()`. */
-    static ReplaySession &current();
-
-    /** Install `session` as this thread's current session (nullptr
-     *  reverts to global()); returns the previous installation.
-     *  Prefer ScopedSessionInstall. */
-    static ReplaySession *installOnThread(ReplaySession *session);
 
     // ------------------------------------------------ lifecycle
     /** Begin recording into a fresh log pinned to `root_seed`. */
@@ -230,37 +221,5 @@ class ReplaySession
     std::atomic<std::uint64_t> _faultCounts[kFaultKindCount] = {};
     std::atomic<std::uint64_t> _mistrainEvaluations{0};
 };
-
-/**
- * RAII: pin `session` to the constructing thread for the object's
- * lifetime, restoring the previous installation (usually none) on
- * destruction. Hooks fired from this thread — and only this thread —
- * route to `session` instead of the global singleton.
- */
-class ScopedSessionInstall
-{
-  public:
-    explicit ScopedSessionInstall(ReplaySession &session)
-        : _previous(ReplaySession::installOnThread(&session))
-    {
-    }
-    ~ScopedSessionInstall()
-    {
-        ReplaySession::installOnThread(_previous);
-    }
-    ScopedSessionInstall(const ScopedSessionInstall &) = delete;
-    ScopedSessionInstall &
-    operator=(const ScopedSessionInstall &) = delete;
-
-  private:
-    ReplaySession *_previous;
-};
-
-/** Cheap per-thread gate for instrumentation sites. */
-inline bool
-sessionEngaged()
-{
-    return ReplaySession::current().engaged();
-}
 
 } // namespace stats::replay

@@ -119,10 +119,13 @@ class SpecEngine
     using BatchAuxFn = std::function<std::vector<AuxBatchResult>(
         const std::vector<AuxBatchItem> &)>;
 
+    /** `session` receives every record/replay and fault hook. */
     SpecEngine(exec::Executor &executor, const std::vector<Input> &inputs,
                State initial_state, ComputeFn compute, ComputeFn auxiliary,
-               MatchFn match, SpecConfig config)
-        : _executor(executor), _inputs(inputs),
+               MatchFn match, SpecConfig config,
+               replay::ReplaySession &session =
+                   replay::ReplaySession::global())
+        : _executor(executor), _session(session), _inputs(inputs),
           _initialState(std::move(initial_state)),
           _compute(std::move(compute)), _auxiliary(std::move(auxiliary)),
           _match(std::move(match)), _config(config)
@@ -175,7 +178,7 @@ class SpecEngine
         // Record/replay: fingerprint the effective run configuration.
         // A replayed log only makes sense against the same setup, so a
         // config skew surfaces as an immediate divergence.
-        if (replay::sessionEngaged()) {
+        if (_session.engaged()) {
             replay::RunConfigRecord rc;
             rc.useAuxiliary = _conventional ? 0 : 1;
             rc.groupSize = _config.groupSize;
@@ -185,9 +188,8 @@ class SpecEngine
             rc.sdThreads = _config.sdThreads;
             rc.innerThreads = _config.innerThreads;
             rc.inputCount = static_cast<std::int64_t>(_inputs.size());
-            replayMark(
-                replay::ReplaySession::current().engineRunBegin(rc), 0,
-                0, _inputs.size());
+            replayMark(_session.engineRunBegin(rc), 0, 0,
+                       _inputs.size());
         }
 
         // All engine bookkeeping must happen in serialized completion
@@ -210,7 +212,7 @@ class SpecEngine
         // Quiescent point: every completion callback ran, so every
         // task record is dead; recycle the arena blocks.
         _arena.drainEpoch();
-        if (replay::sessionEngaged()) {
+        if (_session.engaged()) {
             replay::RunStatsRecord rs;
             rs.validations = _stats.validations;
             rs.mismatches = _stats.mismatches;
@@ -218,9 +220,8 @@ class SpecEngine
             rs.aborts = _stats.aborts;
             rs.squashedGroups = _stats.squashedGroups;
             rs.invocations = _stats.invocations;
-            replayMark(
-                replay::ReplaySession::current().engineRunEnd(rs), 0, 0,
-                _inputs.size());
+            replayMark(_session.engineRunEnd(rs), 0, 0,
+                       _inputs.size());
         }
         assembleOutputs();
     }
@@ -337,9 +338,7 @@ class SpecEngine
         traceEvent(obs::EventType::ReplayDivergence, group, input_begin,
                    input_end,
                    static_cast<std::int64_t>(
-                       replay::ReplaySession::current()
-                           .firstDivergence()
-                           .epoch));
+                       _session.firstDivergence().epoch));
     }
 
     void
@@ -482,9 +481,8 @@ class SpecEngine
         // CorruptState fault: hand the group a stale clone of the
         // initial state in place of the aux result, as if the
         // auxiliary code had learned nothing from its window.
-        if (replay::sessionEngaged() &&
-            replay::ReplaySession::current().corruptSpecState(
-                static_cast<std::int32_t>(j))) {
+        if (_session.engaged() &&
+            _session.corruptSpecState(static_cast<std::int32_t>(j))) {
             g.specStart = _initialState;
             traceEvent(obs::EventType::FaultInjected, j, g.begin,
                        g.end,
@@ -684,10 +682,10 @@ class SpecEngine
             group.originalFinals.push_back(*group.finalState);
             traceEvent(obs::EventType::Commit, j, group.begin,
                        group.end);
-            if (replay::sessionEngaged()) {
-                replayMark(replay::ReplaySession::current().commit(
-                               static_cast<std::int32_t>(j)),
-                           j, group.begin, group.end);
+            if (_session.engaged()) {
+                replayMark(
+                    _session.commit(static_cast<std::int32_t>(j)), j,
+                    group.begin, group.end);
             }
             _frontier = j + 1;
             traceEvent(obs::EventType::FrontierAdvance, j, group.begin,
@@ -745,9 +743,8 @@ class SpecEngine
         // with a fault-forced mismatch, or with the logged verdict
         // during replay — and the overridden value is what the rest of
         // the engine (and the ValidateMatch/Mismatch events) sees.
-        if (replay::sessionEngaged()) {
-            auto &session = replay::ReplaySession::current();
-            const replay::VerdictOutcome outcome = session.matchVerdict(
+        if (_session.engaged()) {
+            const replay::VerdictOutcome outcome = _session.matchVerdict(
                 static_cast<std::int32_t>(j), matched);
             if (outcome.faultInjected) {
                 traceEvent(obs::EventType::FaultInjected, j,
@@ -805,10 +802,9 @@ class SpecEngine
         // its checkpoint) before re-executing.
         traceEvent(obs::EventType::Rollback, p, producer.checkpointPos,
                    producer.end, producer.reexecsDone);
-        if (replay::sessionEngaged()) {
-            replayMark(replay::ReplaySession::current().reexecution(
-                           static_cast<std::int32_t>(p),
-                           producer.reexecsDone),
+        if (_session.engaged()) {
+            replayMark(_session.reexecution(static_cast<std::int32_t>(p),
+                                            producer.reexecsDone),
                        p, producer.checkpointPos, producer.end);
         }
 
@@ -860,10 +856,10 @@ class SpecEngine
         ++_stats.aborts;
         traceEvent(obs::EventType::Abort, j, _groups[j].begin,
                    _inputs.size(), static_cast<std::int64_t>(j));
-        if (replay::sessionEngaged()) {
-            replayMark(replay::ReplaySession::current().abortSpeculation(
-                           static_cast<std::int32_t>(j)),
-                       j, _groups[j].begin, _inputs.size());
+        if (_session.engaged()) {
+            replayMark(
+                _session.abortSpeculation(static_cast<std::int32_t>(j)),
+                j, _groups[j].begin, _inputs.size());
         }
         for (std::size_t g = j; g < _groups.size(); ++g) {
             if (_groups[g].status != GroupStatus::Committed) {
@@ -874,11 +870,10 @@ class SpecEngine
                 traceEvent(obs::EventType::Squash, g, _groups[g].begin,
                            _groups[g].end,
                            static_cast<std::int64_t>(j));
-                if (replay::sessionEngaged()) {
+                if (_session.engaged()) {
                     replayMark(
-                        replay::ReplaySession::current().squash(
-                            static_cast<std::int32_t>(g),
-                            static_cast<std::int32_t>(j)),
+                        _session.squash(static_cast<std::int32_t>(g),
+                                        static_cast<std::int32_t>(j)),
                         g, _groups[g].begin, _groups[g].end);
                 }
             }
@@ -976,6 +971,7 @@ class SpecEngine
     }
 
     exec::Executor &_executor;
+    replay::ReplaySession &_session;
     const std::vector<Input> &_inputs;
     State _initialState;
     ComputeFn _compute;

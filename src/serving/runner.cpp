@@ -1,21 +1,16 @@
 #include "serving/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "backend/backend.hpp"
 #include "benchmarks/common/benchmark.hpp"
-#include "exec/sim_executor.hpp"
 #include "ir/bytecode.hpp"
 #include "observability/metrics.hpp"
 #include "replay/record_log.hpp"
 #include "replay/session.hpp"
-#include "sdi/spec_engine.hpp"
 #include "serving/admission.hpp"
-#include "support/rng.hpp"
 #include "support/seed_sequence.hpp"
 #include "testing/oracle.hpp"
 
@@ -23,40 +18,9 @@ namespace stats::serving {
 
 namespace {
 
+using testing::interpStep;
 using testing::noiseFor;
 using testing::wrapState;
-
-/** Engine input: a value plus its position (for attempt counting). */
-struct In
-{
-    int pos = 0;
-    long long value = 0;
-};
-
-/** Engine output: the state observed before the invocation. */
-struct Out
-{
-    int pos = 0;
-    long long observed = 0;
-};
-
-/** The plan's input stream (a pure function of its root seed). */
-std::vector<In>
-deriveInputs(const ExecutionPlan &plan)
-{
-    const support::SeedSequence sequence(plan.rootSeed);
-    support::Xoshiro256 rng(sequence.derive("inputs"));
-    std::vector<In> inputs;
-    for (int p = 0; p < plan.inputs; ++p)
-        inputs.push_back({p, rng.uniformInt(0, 999)});
-    return inputs;
-}
-
-std::uint64_t
-noiseSeed(const ExecutionPlan &plan)
-{
-    return support::SeedSequence(plan.rootSeed).derive("noise");
-}
 
 /** Deterministic result bytes: varint count + zigzag states. */
 std::string
@@ -108,39 +72,26 @@ callingConventionProblem(const ir::ExecutableModule &exec,
     return "";
 }
 
-long long
-interpStep(ir::ExecutableModule &exec, const std::string &function,
-           long long input, long long state)
-{
-    return exec
-        .call(function,
-              {ir::RtValue::ofInt(input), ir::RtValue::ofInt(state)})
-        .asInt();
-}
-
 /**
- * RAII per-run record/replay scope. Owns a *private* ReplaySession —
- * engine, RecordLog, fault plan, and seed streams scoped to this one
- * plan execution — and pins it to the constructing thread, so hooks
- * fired while the plan runs route here instead of the process-global
- * session. Concurrent plans on other worker threads each carry their
- * own scope and never observe each other's mode flips. The captured
- * log is harvested into the PlanResult on destruction.
- *
- * A plan that neither records nor injects faults installs nothing
- * and runs under the thread's ambient session — which lets a caller
- * replay a served log by putting its own session into Replay mode
- * around runPlan (RunnerTest pins this).
+ * RAII record/replay scope of one run. A plan that records choices
+ * or injects faults runs under a *private* ReplaySession — its own
+ * RecordLog and fault plan — so concurrent plans on other workers
+ * never observe each other's mode flips; the captured log is
+ * harvested into the PlanResult on destruction. Any other plan runs
+ * under the caller's session, which lets a caller replay a served log
+ * by putting that session into Replay mode around runPlan (RunnerTest
+ * pins this).
  */
 class RecordScope
 {
   public:
-    RecordScope(const ExecutionPlan &plan, PlanResult &result,
+    RecordScope(const ExecutionPlan &plan,
+                replay::ReplaySession &caller, PlanResult &result,
                 std::string &error)
-        : _result(result)
+        : _result(result),
+          _session(plan.recordChoices || !plan.faults.empty() ? _own
+                                                              : caller)
     {
-        if (plan.recordChoices || !plan.faults.empty())
-            _install.emplace(_session);
         if (!plan.faults.empty()) {
             std::string fault_error;
             auto fault_plan =
@@ -149,14 +100,13 @@ class RecordScope
                 error = "fault plan: " + fault_error;
                 return;
             }
-            _session.setFaultPlan(*fault_plan);
+            _own.setFaultPlan(*fault_plan);
         }
         if (plan.recordChoices) {
-            _session.startRecording(plan.rootSeed);
-            _session.setMetadata("tenant", plan.tenant);
-            _session.setMetadata("kind", jobKindName(plan.kind));
-            _session.setMetadata("seed",
-                                 std::to_string(plan.rootSeed));
+            _own.startRecording(plan.rootSeed);
+            _own.setMetadata("tenant", plan.tenant);
+            _own.setMetadata("kind", jobKindName(plan.kind));
+            _own.setMetadata("seed", std::to_string(plan.rootSeed));
             _recording = true;
         }
         _armed = true;
@@ -164,20 +114,19 @@ class RecordScope
 
     bool armed() const { return _armed; }
 
-    /** The scoped session (for extra metadata). */
+    /** The session the run reports to. */
     replay::ReplaySession &session() { return _session; }
 
     ~RecordScope()
     {
         if (_recording)
-            _result.recordLog =
-                _session.finishRecording().saveToString();
+            _result.recordLog = _own.finishRecording().saveToString();
     }
 
   private:
     PlanResult &_result;
-    replay::ReplaySession _session;
-    std::optional<replay::ScopedSessionInstall> _install;
+    replay::ReplaySession _own;
+    replay::ReplaySession &_session;
     bool _recording = false;
     bool _armed = false;
 };
@@ -341,7 +290,8 @@ PlanRunner::compile(const ExecutionPlan &plan,
 }
 
 std::vector<PlanResult>
-PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
+PlanRunner::runBatch(const std::vector<QueuedPlan> &batch,
+                     replay::ReplaySession &session)
 {
     std::vector<PlanResult> results(batch.size());
     if (batch.empty())
@@ -350,10 +300,10 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
       case JobKind::IrSequential:
         break;
       case JobKind::IrSpeculative:
-        results[0] = runSpeculative(batch.front());
+        results[0] = runSpeculative(batch.front(), session);
         return results;
       case JobKind::Benchmark:
-        results[0] = runBenchmark(*batch.front().plan);
+        results[0] = runBenchmark(*batch.front().plan, session);
         return results;
     }
 
@@ -375,15 +325,16 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
     const std::string &fn = entry->computeFn;
 
     const std::size_t lanes = batch.size();
-    std::vector<std::vector<In>> inputs(lanes);
+    std::vector<std::vector<testing::In>> inputs(lanes);
     std::vector<std::uint64_t> noise_seeds(lanes);
     std::vector<long long> states(lanes);
     std::vector<std::vector<long long>> observed(lanes);
     int longest = 0;
     for (std::size_t l = 0; l < lanes; ++l) {
         const ExecutionPlan &plan = *batch[l].plan;
-        inputs[l] = deriveInputs(plan);
-        noise_seeds[l] = noiseSeed(plan);
+        inputs[l] = testing::deriveInputs(plan.rootSeed, plan.inputs);
+        noise_seeds[l] =
+            support::SeedSequence(plan.rootSeed).derive("noise");
         states[l] = plan.initialState;
         longest = std::max(longest, plan.inputs);
     }
@@ -441,7 +392,7 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
             PlanResult scratch;
             std::string record_error;
             {
-                RecordScope scope(*batch[l].plan, scratch,
+                RecordScope scope(*batch[l].plan, session, scratch,
                                   record_error);
             } // ~RecordScope fills scratch.recordLog
             results[l].recordLog = std::move(scratch.recordLog);
@@ -451,7 +402,8 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
 }
 
 PlanResult
-PlanRunner::runSpeculative(const QueuedPlan &queued)
+PlanRunner::runSpeculative(const QueuedPlan &queued,
+                           replay::ReplaySession &session)
 {
     const ExecutionPlan &plan = *queued.plan;
     PlanResult result;
@@ -461,89 +413,42 @@ PlanRunner::runSpeculative(const QueuedPlan &queued)
         result.error = error;
         return result;
     }
-    ExecLease lease(entry);
-    ir::ExecutableModule &exec = *lease;
-    const std::string compute_fn = entry->computeFn;
-    const std::string aux_fn = entry->auxFn;
-
-    const std::vector<In> inputs = deriveInputs(plan);
-    const std::uint64_t noise_seed = noiseSeed(plan);
-    const int noisy = plan.noisyPercent;
-    const int max_noise = plan.maxNoise;
-
-    // Mirrors the differential oracle's engine harness
-    // (src/testing/oracle.cpp): per-(position, attempt) noise draws,
-    // a noise-free auxiliary, and a batched auxiliary that is
-    // bit-identical to the scalar one.
-    auto counters = std::make_shared<std::vector<std::atomic<int>>>(
-        inputs.size());
-
-    using Engine = sdi::SpecEngine<In, long long, Out>;
-    Engine::ComputeFn compute =
-        [&exec, &compute_fn, counters, noise_seed, noisy, max_noise](
-            const In &in, long long &state,
-            const sdi::ComputeContext &) {
-            Out out{in.pos, state};
-            const int attempt =
-                (*counters)[std::size_t(in.pos)].fetch_add(
-                    1, std::memory_order_relaxed);
-            state = wrapState(
-                interpStep(exec, compute_fn, in.value, state) +
-                noiseFor(noise_seed, in.pos, attempt, noisy,
-                         max_noise));
-            Engine::Invocation inv;
-            inv.output = std::make_unique<Out>(out);
-            inv.cost = exec::Work{1e-5, 0.2};
-            return inv;
-        };
-    Engine::ComputeFn auxiliary =
-        [&exec, &aux_fn](const In &in, long long &state,
-                         const sdi::ComputeContext &) {
-            Out out{in.pos, state};
-            state =
-                wrapState(interpStep(exec, aux_fn, in.value, state));
-            Engine::Invocation inv;
-            inv.output = std::make_unique<Out>(out);
-            inv.cost = exec::Work{5e-6, 0.2};
-            return inv;
-        };
-    Engine::MatchFn matcher =
-        [](const long long &spec,
-           const std::vector<long long> &originals) -> int {
-        for (std::size_t i = 0; i < originals.size(); ++i)
-            if (originals[i] == spec)
-                return int(i);
-        return -1;
-    };
-
-    RecordScope scope(plan, result, error);
+    RecordScope scope(plan, session, result, error);
     if (!scope.armed()) {
         result.error = error;
         return result;
     }
 
-    sim::MachineConfig machine;
-    machine.dispatchOverhead = 0.0;
-    exec::SimExecutor executor(
-        machine, std::max(16, plan.limits.sdThreads));
-    Engine engine(executor, inputs, (long long)plan.initialState,
-                  compute, auxiliary, matcher, plan.limits);
-    engine.start();
-    engine.join();
+    // The differential oracle's engine harness, over the scenario the
+    // plan describes.
+    testing::Scenario scenario;
+    scenario.seed = plan.rootSeed;
+    scenario.inputs = plan.inputs;
+    scenario.initialState = plan.initialState;
+    scenario.noisyPercent = plan.noisyPercent;
+    scenario.maxNoise = plan.maxNoise;
+    scenario.config = plan.limits;
+    const std::vector<testing::In> inputs =
+        testing::deriveInputs(scenario.seed, scenario.inputs);
+    ExecLease lease(entry);
+    const testing::EngineRun run = testing::runEngine(
+        *lease, entry->computeFn, entry->auxFn, scenario, inputs,
+        std::max(16, plan.limits.sdThreads), scope.session());
 
     std::vector<long long> states;
-    for (const auto &output : engine.outputs())
-        states.push_back(output->observed);
+    for (const testing::Out &output : run.outputs)
+        states.push_back(output.observed);
     result.ok = true;
     result.resultBlob = encodeStates(states);
     result.finalState = states.empty() ? plan.initialState
                                        : states.back();
-    result.invocations = engine.stats().invocations;
+    result.invocations = run.stats.invocations;
     return result;
 }
 
 PlanResult
-PlanRunner::runBenchmark(const ExecutionPlan &plan)
+PlanRunner::runBenchmark(const ExecutionPlan &plan,
+                         replay::ReplaySession &session)
 {
     PlanResult result;
     auto bench = benchmarks::createBenchmark(plan.moduleRef);
@@ -566,18 +471,18 @@ PlanRunner::runBenchmark(const ExecutionPlan &plan)
     request.runSeed = seeds.derive("run");
 
     std::string error;
-    RecordScope scope(plan, result, error);
+    RecordScope scope(plan, session, result, error);
     if (!scope.armed()) {
         result.error = error;
         return result;
     }
+    request.session = &scope.session();
     if (plan.recordChoices) {
-        auto &session = scope.session();
-        session.setMetadata("benchmark", bench->name());
-        session.setMetadata("mode", plan.benchMode);
-        session.setMetadata("threads",
-                            std::to_string(plan.benchThreads));
-        session.setMetadata("workload", plan.benchWorkload);
+        request.session->setMetadata("benchmark", bench->name());
+        request.session->setMetadata("mode", plan.benchMode);
+        request.session->setMetadata(
+            "threads", std::to_string(plan.benchThreads));
+        request.session->setMetadata("workload", plan.benchWorkload);
     }
 
     const benchmarks::RunResult run = bench->run(request);
@@ -590,13 +495,14 @@ PlanRunner::runBenchmark(const ExecutionPlan &plan)
 }
 
 PlanResult
-PlanRunner::runPlan(const ExecutionPlan &plan)
+PlanRunner::runPlan(const ExecutionPlan &plan,
+                    replay::ReplaySession &session)
 {
     // A non-owning handle: the plan outlives this call.
     std::vector<QueuedPlan> solo(1);
     solo[0].plan = std::shared_ptr<const ExecutionPlan>(
         std::shared_ptr<const ExecutionPlan>(), &plan);
-    return std::move(runBatch(solo).front());
+    return std::move(runBatch(solo, session).front());
 }
 
 } // namespace stats::serving

@@ -14,9 +14,12 @@
  *    result bytes — the property the served-determinism test pins.
  *
  *  - **IrSpeculative** — the module runs on the SpecEngine over the
- *    simulated executor (virtual time), mirroring the differential
- *    oracle's harness. When `recordChoices` is set, the engine's
- *    choice points are captured into a RecordLog for `replay-fetch`.
+ *    simulated executor (virtual time), through the differential
+ *    oracle's own engine harness (`testing::runEngine`), batched
+ *    auxiliary included: `limits.auxBatchGroups` > 1 fuses the
+ *    initial aux windows into lockstep tasks. When `recordChoices`
+ *    is set, the engine's choice points are captured into a
+ *    RecordLog for `replay-fetch`.
  *
  *  - **Benchmark** — one of the paper benchmarks, exactly like
  *    `statscc run` (virtual time again: the result is a pure
@@ -35,9 +38,12 @@
  * entry alive after eviction.
  *
  * Threading contract: `runPlan`/`runBatch` are safe to call from any
- * number of server worker threads concurrently. Record/replay state
- * is scoped per run — each execution installs its own thread-local
- * ReplaySession (RecordScope), so no global mode flips occur.
+ * number of server worker threads concurrently. Each takes the
+ * ReplaySession to run under (`global()` by default). A plan that
+ * records choices or injects faults runs under a private session of
+ * its own instead, so concurrent recordings never share a session
+ * and no run flips another's mode; any other plan reports to the
+ * session passed in, which is how a caller replays a served log.
  */
 
 #pragma once
@@ -50,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "replay/session.hpp"
 #include "sdi/spec_config.hpp"
 #include "serving/execution_plan.hpp"
 #include "serving/lru.hpp"
@@ -90,16 +97,20 @@ inline constexpr std::size_t kCompileCacheCapacity = 256;
 class PlanRunner
 {
   public:
-    /** Execute one plan (any kind). */
-    PlanResult runPlan(const ExecutionPlan &plan);
+    /** Execute one plan (any kind) under `session`. */
+    PlanResult runPlan(const ExecutionPlan &plan,
+                       replay::ReplaySession &session =
+                           replay::ReplaySession::global());
 
     /**
      * Execute a dispatch unit from the scheduler: one plan, or
-     * several batch-compatible sequential plans fused lane-parallel.
-     * Results are positionally aligned with `batch`.
+     * several batch-compatible sequential plans fused lane-parallel,
+     * under `session`. Results are positionally aligned with `batch`.
      */
     std::vector<PlanResult>
-    runBatch(const std::vector<QueuedPlan> &batch);
+    runBatch(const std::vector<QueuedPlan> &batch,
+             replay::ReplaySession &session =
+                 replay::ReplaySession::global());
 
     /** Compile-cache statistics (serving.* metrics mirror these). */
     std::size_t cacheSize() const
@@ -127,8 +138,10 @@ class PlanRunner
                                        std::string &error);
     static Outcome compile(const ExecutionPlan &plan,
                            const AdmittedModule *admitted);
-    PlanResult runSpeculative(const QueuedPlan &queued);
-    PlanResult runBenchmark(const ExecutionPlan &plan);
+    PlanResult runSpeculative(const QueuedPlan &queued,
+                              replay::ReplaySession &session);
+    PlanResult runBenchmark(const ExecutionPlan &plan,
+                            replay::ReplaySession &session);
 
     mutable std::mutex _cacheMutex;
     /** Per-key slots, each filled once by the thread that missed. */

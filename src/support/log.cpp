@@ -1,6 +1,5 @@
 #include "support/log.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -9,40 +8,19 @@ namespace stats::support {
 
 namespace {
 
-std::atomic<LogLevel> currentLevel{LogLevel::Warn};
 std::mutex logMutex;
 
 const char *
 levelName(LogLevel level)
 {
-    switch (level) {
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Info:  return "info";
-      case LogLevel::Warn:  return "warn";
-      case LogLevel::Error: return "error";
-    }
-    return "?";
+    return level == LogLevel::Warn ? "warn" : "error";
 }
 
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    currentLevel.store(level);
-}
-
-LogLevel
-logLevel()
-{
-    return currentLevel.load();
-}
-
-void
 logMessage(LogLevel level, const std::string &message)
 {
-    if (static_cast<int>(level) < static_cast<int>(currentLevel.load()))
-        return;
     std::lock_guard<std::mutex> lock(logMutex);
     std::cerr << "[stats:" << levelName(level) << "] " << message << "\n";
 }

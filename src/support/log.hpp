@@ -4,7 +4,8 @@
  *
  * Follows the gem5 convention: fatal() for user-caused conditions the
  * program cannot recover from, panic() for internal invariant
- * violations, warn()/inform() for status messages.
+ * violations, warn() for status messages. Every message goes to
+ * stderr; there is no verbosity setting.
  */
 
 #pragma once
@@ -14,13 +15,9 @@
 
 namespace stats::support {
 
-enum class LogLevel { Debug, Info, Warn, Error };
+enum class LogLevel { Warn, Error };
 
-/** Global verbosity threshold; messages below it are suppressed. */
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
-
-/** Emit one log line to stderr if `level` passes the threshold. */
+/** Emit one log line to stderr. */
 void logMessage(LogLevel level, const std::string &message);
 
 namespace detail {
@@ -35,14 +32,6 @@ format(Args &&...args)
 }
 
 } // namespace detail
-
-/** Informative status message. */
-template <class... Args>
-void
-inform(Args &&...args)
-{
-    logMessage(LogLevel::Info, detail::format(std::forward<Args>(args)...));
-}
 
 /** Something is suspicious but execution can continue. */
 template <class... Args>

@@ -34,12 +34,12 @@ writeArtifact(const std::string &dir, const std::string &name,
 replay::RecordLog
 captureRecording(const FuzzCase &fuzz_case, const OracleOptions &options)
 {
-    auto &session = replay::ReplaySession::global();
+    replay::ReplaySession session;
     session.startRecording(fuzz_case.scenario.seed);
     session.setMetadata("fuzz.case", fuzz_case.name);
     session.setMetadata("fuzz.matcher",
                         matcherKindName(fuzz_case.scenario.matcher));
-    runOracle(fuzz_case, options);
+    runOracle(fuzz_case, options, session);
     return session.finishRecording();
 }
 

@@ -26,20 +26,6 @@ namespace {
 
 constexpr long long kStateModulus = 1LL << 20;
 
-/** Engine input: a value plus its position (for attempt counting). */
-struct In
-{
-    int pos = 0;
-    long long value = 0;
-};
-
-/** Engine output: the state observed before the invocation. */
-struct Out
-{
-    int pos = 0;
-    long long observed = 0;
-};
-
 std::string
 joinProblems(const std::vector<std::string> &problems)
 {
@@ -62,28 +48,6 @@ fail(std::string stage, std::string kind, std::string detail)
     return result;
 }
 
-/**
- * One interpreted state transition of the instantiated module. The
- * ExecutableModule is built once per oracle run (the AST walker used
- * to be re-constructed per transition) and dispatches through the
- * configured execution tier.
- */
-long long
-interpStep(ir::ExecutableModule &exec, const std::string &function,
-           long long input, long long state)
-{
-    const ir::RtValue result = exec.call(
-        function,
-        {ir::RtValue::ofInt(input), ir::RtValue::ofInt(state)});
-    return result.asInt();
-}
-
-struct EngineRun
-{
-    std::vector<Out> outputs;
-    sdi::EngineStats stats;
-};
-
 sdi::SpecEngine<In, long long, Out>::MatchFn
 makeMatcher(MatcherKind kind)
 {
@@ -103,121 +67,6 @@ makeMatcher(MatcherKind kind)
         }
         return -1;
     };
-}
-
-/** Execute the instantiated dependence on the speculation engine. */
-EngineRun
-runEngine(ir::ExecutableModule &exec, const std::string &compute_fn,
-          const std::string &aux_fn, const Scenario &scenario,
-          const std::vector<In> &inputs, int sim_threads)
-{
-    // Per-position invocation counters give each (position, attempt)
-    // pair its own noise draw. Plain engine runs touch them only from
-    // serialized callbacks' tasks, but squashed-but-dispatched bodies
-    // can race re-executions on real threads, hence atomics.
-    auto counters = std::make_shared<std::vector<std::atomic<int>>>(
-        inputs.size());
-
-    const std::uint64_t noise_seed =
-        support::SeedSequence(scenario.seed).derive("noise");
-    const int noisy = scenario.noisyPercent;
-    const int max_noise = scenario.maxNoise;
-
-    using Engine = sdi::SpecEngine<In, long long, Out>;
-    Engine::ComputeFn compute = [&exec, &compute_fn, counters,
-                                 noise_seed, noisy, max_noise](
-                                    const In &in, long long &state,
-                                    const sdi::ComputeContext &) {
-        Out out{in.pos, state};
-        const int attempt = (*counters)[std::size_t(in.pos)].fetch_add(
-            1, std::memory_order_relaxed);
-        state = wrapState(
-            interpStep(exec, compute_fn, in.value, state) +
-            noiseFor(noise_seed, in.pos, attempt, noisy, max_noise));
-        Engine::Invocation inv;
-        inv.output = std::make_unique<Out>(out);
-        inv.cost = exec::Work{1e-5, 0.2};
-        return inv;
-    };
-    // Auxiliary code draws no noise: the paper's aux clone is a pure
-    // approximation whose value only ever *proposes* a start state.
-    Engine::ComputeFn auxiliary =
-        [&exec, &aux_fn](const In &in, long long &state,
-                         const sdi::ComputeContext &) {
-            Out out{in.pos, state};
-            state = wrapState(interpStep(exec, aux_fn, in.value, state));
-            Engine::Invocation inv;
-            inv.output = std::make_unique<Out>(out);
-            inv.cost = exec::Work{5e-6, 0.2};
-            return inv;
-        };
-
-    // Batched auxiliary: all windows advance in lockstep through
-    // ExecutableModule::callBatch (scalar-call fallback when batching
-    // does not apply to the function). Must be bit-identical to the
-    // scalar auxiliary above — it draws no noise either — so engaging
-    // it never changes the engine's validation verdicts.
-    Engine::BatchAuxFn batch_aux =
-        [&exec, &aux_fn, &inputs, &scenario](
-            const std::vector<Engine::AuxBatchItem> &items) {
-            std::vector<Engine::AuxBatchResult> results(items.size());
-            std::vector<long long> states(
-                items.size(), (long long)scenario.initialState);
-            std::size_t longest = 0;
-            for (const auto &item : items)
-                longest = std::max(longest,
-                                   item.windowEnd - item.windowBegin);
-            std::vector<ir::RtValue> arg0, arg1, lane_results;
-            std::vector<std::size_t> lanes;
-            for (std::size_t step = 0; step < longest; ++step) {
-                arg0.clear();
-                arg1.clear();
-                lanes.clear();
-                for (std::size_t i = 0; i < items.size(); ++i) {
-                    const std::size_t pos = items[i].windowBegin + step;
-                    if (pos >= items[i].windowEnd)
-                        continue; // Shorter window: lane retired.
-                    lanes.push_back(i);
-                    arg0.push_back(
-                        ir::RtValue::ofInt(inputs[pos].value));
-                    arg1.push_back(ir::RtValue::ofInt(states[i]));
-                    results[i].workUnits += 5e-6;
-                }
-                if (lanes.empty())
-                    continue;
-                lane_results.assign(lanes.size(), ir::RtValue());
-                const std::vector<const ir::RtValue *> columns = {
-                    arg0.data(), arg1.data()};
-                if (!exec.callBatch(aux_fn, lanes.size(), columns,
-                                    lane_results.data())) {
-                    for (std::size_t l = 0; l < lanes.size(); ++l)
-                        lane_results[l] =
-                            exec.call(aux_fn, {arg0[l], arg1[l]});
-                }
-                for (std::size_t l = 0; l < lanes.size(); ++l)
-                    states[lanes[l]] =
-                        wrapState(lane_results[l].asInt());
-            }
-            for (std::size_t i = 0; i < items.size(); ++i)
-                results[i].state = states[i];
-            return results;
-        };
-
-    sim::MachineConfig machine;
-    machine.dispatchOverhead = 0.0;
-    exec::SimExecutor executor(machine, sim_threads);
-    Engine engine(executor, inputs,
-                  (long long)scenario.initialState, compute, auxiliary,
-                  makeMatcher(scenario.matcher), scenario.config);
-    engine.setBatchAuxiliary(batch_aux);
-    engine.start();
-    engine.join();
-
-    EngineRun run;
-    run.stats = engine.stats();
-    for (const auto &output : engine.outputs())
-        run.outputs.push_back(*output);
-    return run;
 }
 
 /**
@@ -329,8 +178,145 @@ noiseFor(std::uint64_t seed, int position, int attempt,
     return (long long)((draw >> 8) % std::uint64_t(max_noise + 1));
 }
 
+std::vector<In>
+deriveInputs(std::uint64_t seed, int count)
+{
+    support::Xoshiro256 rng(support::SeedSequence(seed).derive("inputs"));
+    std::vector<In> inputs;
+    for (int p = 0; p < count; ++p)
+        inputs.push_back({p, rng.uniformInt(0, 999)});
+    return inputs;
+}
+
+long long
+interpStep(ir::ExecutableModule &exec, const std::string &function,
+           long long input, long long state)
+{
+    const ir::RtValue result = exec.call(
+        function,
+        {ir::RtValue::ofInt(input), ir::RtValue::ofInt(state)});
+    return result.asInt();
+}
+
+EngineRun
+runEngine(ir::ExecutableModule &exec, const std::string &compute_fn,
+          const std::string &aux_fn, const Scenario &scenario,
+          const std::vector<In> &inputs, int sim_threads,
+          replay::ReplaySession &session)
+{
+    // Per-position invocation counters give each (position, attempt)
+    // pair its own noise draw. Plain engine runs touch them only from
+    // serialized callbacks' tasks, but squashed-but-dispatched bodies
+    // can race re-executions on real threads, hence atomics.
+    auto counters = std::make_shared<std::vector<std::atomic<int>>>(
+        inputs.size());
+
+    const std::uint64_t noise_seed =
+        support::SeedSequence(scenario.seed).derive("noise");
+    const int noisy = scenario.noisyPercent;
+    const int max_noise = scenario.maxNoise;
+
+    using Engine = sdi::SpecEngine<In, long long, Out>;
+    Engine::ComputeFn compute = [&exec, &compute_fn, counters,
+                                 noise_seed, noisy, max_noise](
+                                    const In &in, long long &state,
+                                    const sdi::ComputeContext &) {
+        Out out{in.pos, state};
+        const int attempt = (*counters)[std::size_t(in.pos)].fetch_add(
+            1, std::memory_order_relaxed);
+        state = wrapState(
+            interpStep(exec, compute_fn, in.value, state) +
+            noiseFor(noise_seed, in.pos, attempt, noisy, max_noise));
+        Engine::Invocation inv;
+        inv.output = std::make_unique<Out>(out);
+        inv.cost = exec::Work{1e-5, 0.2};
+        return inv;
+    };
+    // Auxiliary code draws no noise: the paper's aux clone is a pure
+    // approximation whose value only ever *proposes* a start state.
+    Engine::ComputeFn auxiliary =
+        [&exec, &aux_fn](const In &in, long long &state,
+                         const sdi::ComputeContext &) {
+            Out out{in.pos, state};
+            state = wrapState(interpStep(exec, aux_fn, in.value, state));
+            Engine::Invocation inv;
+            inv.output = std::make_unique<Out>(out);
+            inv.cost = exec::Work{5e-6, 0.2};
+            return inv;
+        };
+
+    // Batched auxiliary: all windows advance in lockstep through
+    // ExecutableModule::callBatch (scalar-call fallback when batching
+    // does not apply to the function). Must be bit-identical to the
+    // scalar auxiliary above — it draws no noise either — so engaging
+    // it never changes the engine's validation verdicts.
+    Engine::BatchAuxFn batch_aux =
+        [&exec, &aux_fn, &inputs, &scenario](
+            const std::vector<Engine::AuxBatchItem> &items) {
+            std::vector<Engine::AuxBatchResult> results(items.size());
+            std::vector<long long> states(
+                items.size(), (long long)scenario.initialState);
+            std::size_t longest = 0;
+            for (const auto &item : items)
+                longest = std::max(longest,
+                                   item.windowEnd - item.windowBegin);
+            std::vector<ir::RtValue> arg0, arg1, lane_results;
+            std::vector<std::size_t> lanes;
+            for (std::size_t step = 0; step < longest; ++step) {
+                arg0.clear();
+                arg1.clear();
+                lanes.clear();
+                for (std::size_t i = 0; i < items.size(); ++i) {
+                    const std::size_t pos = items[i].windowBegin + step;
+                    if (pos >= items[i].windowEnd)
+                        continue; // Shorter window: lane retired.
+                    lanes.push_back(i);
+                    arg0.push_back(
+                        ir::RtValue::ofInt(inputs[pos].value));
+                    arg1.push_back(ir::RtValue::ofInt(states[i]));
+                    results[i].workUnits += 5e-6;
+                }
+                if (lanes.empty())
+                    continue;
+                lane_results.assign(lanes.size(), ir::RtValue());
+                const std::vector<const ir::RtValue *> columns = {
+                    arg0.data(), arg1.data()};
+                if (!exec.callBatch(aux_fn, lanes.size(), columns,
+                                    lane_results.data())) {
+                    for (std::size_t l = 0; l < lanes.size(); ++l)
+                        lane_results[l] =
+                            exec.call(aux_fn, {arg0[l], arg1[l]});
+                }
+                for (std::size_t l = 0; l < lanes.size(); ++l)
+                    states[lanes[l]] =
+                        wrapState(lane_results[l].asInt());
+            }
+            for (std::size_t i = 0; i < items.size(); ++i)
+                results[i].state = states[i];
+            return results;
+        };
+
+    sim::MachineConfig machine;
+    machine.dispatchOverhead = 0.0;
+    exec::SimExecutor executor(machine, sim_threads);
+    Engine engine(executor, inputs,
+                  (long long)scenario.initialState, compute, auxiliary,
+                  makeMatcher(scenario.matcher), scenario.config,
+                  session);
+    engine.setBatchAuxiliary(batch_aux);
+    engine.start();
+    engine.join();
+
+    EngineRun run;
+    run.stats = engine.stats();
+    for (const auto &output : engine.outputs())
+        run.outputs.push_back(*output);
+    return run;
+}
+
 OracleResult
-runOracle(const FuzzCase &fuzz_case, const OracleOptions &options)
+runOracle(const FuzzCase &fuzz_case, const OracleOptions &options,
+          replay::ReplaySession &session)
 {
     const Scenario &scenario = fuzz_case.scenario;
 
@@ -434,11 +420,8 @@ runOracle(const FuzzCase &fuzz_case, const OracleOptions &options)
     ir::ExecutableModule exec(instantiated, options.execTier);
     exec.setStepBudget(1'000'000);
 
-    // ---- inputs (a pure function of the scenario seed) ----
-    support::Xoshiro256 input_rng(sequence.derive("inputs"));
-    std::vector<In> inputs;
-    for (int p = 0; p < scenario.inputs; ++p)
-        inputs.push_back({p, input_rng.uniformInt(0, 999)});
+    const std::vector<In> inputs =
+        deriveInputs(scenario.seed, scenario.inputs);
 
     OracleResult result;
     result.stage = "sequential";
@@ -501,8 +484,8 @@ runOracle(const FuzzCase &fuzz_case, const OracleOptions &options)
 
     // ---- speculative run (clean) ----
     result.stage = "speculative";
-    EngineRun clean = runEngine(exec, compute_fn, aux_fn,
-                                scenario, inputs, options.simThreads);
+    EngineRun clean = runEngine(exec, compute_fn, aux_fn, scenario,
+                                inputs, options.simThreads, session);
     result.cleanStats = clean.stats;
     if (auto error = checkShape(clean.outputs, inputs); !error.empty())
         return fail("speculative", "output-order", error);
@@ -531,11 +514,10 @@ runOracle(const FuzzCase &fuzz_case, const OracleOptions &options)
         }
         result.stage = "faulted";
         result.faulted = true;
-        auto &session = replay::ReplaySession::global();
         session.setFaultPlan(*plan);
-        EngineRun faulted = runEngine(exec, compute_fn, aux_fn,
-                                      scenario, inputs,
-                                      options.simThreads);
+        EngineRun faulted =
+            runEngine(exec, compute_fn, aux_fn, scenario, inputs,
+                      options.simThreads, session);
         session.setFaultPlan(replay::FaultPlan{});
         result.faultStats = faulted.stats;
         if (auto error = checkShape(faulted.outputs, inputs);

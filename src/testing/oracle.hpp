@@ -31,12 +31,18 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "ir/exec_tier.hpp"
+#include "replay/session.hpp"
 #include "sdi/spec_config.hpp"
 #include "testing/fuzz_case.hpp"
+
+namespace stats::ir {
+class ExecutableModule;
+}
 
 namespace stats::testing {
 
@@ -87,9 +93,62 @@ struct OracleResult
     bool faulted = false; ///< The fault-storm run executed.
 };
 
-/** Run the full differential oracle over one case. */
+/**
+ * Run the full differential oracle over one case. Both engine runs
+ * report to `session`; the fault-storm run installs the case's fault
+ * plan on it for the duration of that run.
+ */
 OracleResult runOracle(const FuzzCase &fuzz_case,
-                       const OracleOptions &options = {});
+                       const OracleOptions &options = {},
+                       replay::ReplaySession &session =
+                           replay::ReplaySession::global());
+
+// ------------------------------------------------ the engine harness
+// Shared with the serving plane, whose speculative plans run the same
+// harness over a scenario built from the plan.
+
+/** Engine input: a value plus its position (for attempt counting). */
+struct In
+{
+    int pos = 0;
+    long long value = 0;
+};
+
+/** Engine output: the state observed before the invocation. */
+struct Out
+{
+    int pos = 0;
+    long long observed = 0;
+};
+
+/** The input stream of a scenario seeded `seed`: `count` values, a
+ *  pure function of the seed. */
+std::vector<In> deriveInputs(std::uint64_t seed, int count);
+
+/** One interpreted state transition: `function`(input, state). */
+long long interpStep(ir::ExecutableModule &exec,
+                     const std::string &function, long long input,
+                     long long state);
+
+struct EngineRun
+{
+    std::vector<Out> outputs;
+    sdi::EngineStats stats;
+};
+
+/**
+ * Execute the instantiated dependence on the speculation engine over
+ * a simulated executor with `sim_threads` threads, reporting to
+ * `session`. Per-(position, attempt) noise draws model the program's
+ * nondeterminism; the auxiliary code draws none, and its batched form
+ * (used when `scenario.config.auxBatchGroups` > 1) is bit-identical
+ * to the scalar one.
+ */
+EngineRun runEngine(ir::ExecutableModule &exec,
+                    const std::string &compute_fn,
+                    const std::string &aux_fn, const Scenario &scenario,
+                    const std::vector<In> &inputs, int sim_threads,
+                    replay::ReplaySession &session);
 
 /** Number of legal transition variants per input position. */
 int legalAttempts(const Scenario &scenario);

@@ -196,10 +196,4 @@ Tradeoff::valueAt(std::int64_t i) const
     return _options->getValue(i);
 }
 
-TradeoffValue
-Tradeoff::defaultValue() const
-{
-    return _options->getValue(_options->getDefaultIndex());
-}
-
 } // namespace stats::tradeoff

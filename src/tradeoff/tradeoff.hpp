@@ -155,7 +155,6 @@ class Tradeoff
 
     std::int64_t valueCount() const { return _options->getMaxIndex(); }
     TradeoffValue valueAt(std::int64_t i) const;
-    TradeoffValue defaultValue() const;
 
   private:
     std::string _name;

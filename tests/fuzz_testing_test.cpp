@@ -8,10 +8,12 @@
 
 #include <set>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "ir/verifier.hpp"
+#include "replay/session.hpp"
 #include "testing/fuzz_case.hpp"
 #include "testing/generator.hpp"
 #include "testing/oracle.hpp"
@@ -159,6 +161,89 @@ TEST(FuzzOracle, AcceptedNearMissIsAFailure)
     const OracleResult result = runOracle(fuzz_case);
     EXPECT_FALSE(result.ok);
     EXPECT_EQ(result.failKind, "missed-rejection");
+}
+
+/** One oracle run recorded into a private session of its own. */
+struct RecordedOracle
+{
+    OracleResult result;
+    std::string log;
+    std::size_t runs = 0;   ///< RunEnd records.
+    std::size_t faults = 0; ///< FaultInjected records.
+};
+
+RecordedOracle
+recordOracle(const FuzzCase &fuzz_case)
+{
+    replay::ReplaySession session;
+    session.startRecording(fuzz_case.scenario.seed);
+    RecordedOracle run;
+    run.result = runOracle(fuzz_case, {}, session);
+    const replay::RecordLog log = session.finishRecording();
+    run.log = log.saveToString();
+    for (const replay::Record &record : log.records) {
+        run.runs += record.kind == replay::RecordKind::RunEnd;
+        run.faults += record.kind == replay::RecordKind::FaultInjected;
+    }
+    return run;
+}
+
+void
+expectSameStats(const sdi::EngineStats &a, const sdi::EngineStats &b)
+{
+    EXPECT_EQ(a.groups, b.groups);
+    EXPECT_EQ(a.auxTasks, b.auxTasks);
+    EXPECT_EQ(a.validations, b.validations);
+    EXPECT_EQ(a.mismatches, b.mismatches);
+    EXPECT_EQ(a.reexecutions, b.reexecutions);
+    EXPECT_EQ(a.aborts, b.aborts);
+    EXPECT_EQ(a.squashedGroups, b.squashedGroups);
+    EXPECT_EQ(a.sequentialInputs, b.sequentialInputs);
+    EXPECT_EQ(a.invocations, b.invocations);
+}
+
+TEST(FuzzOracle, ConcurrentPrivateSessionsMatchSoloRuns)
+{
+    // Two fault-storm cases, each recorded into its own session: run
+    // concurrently, neither sees the other's fault plan or records.
+    GeneratorOptions options;
+    options.faultsEvery = 1;
+    options.nearMissEvery = 0;
+    const std::vector<FuzzCase> cases = {generateCase(43, 5, options),
+                                         generateCase(43, 8, options)};
+    std::vector<RecordedOracle> solo;
+    for (const FuzzCase &fuzz_case : cases) {
+        ASSERT_FALSE(fuzz_case.scenario.faults.empty());
+        solo.push_back(recordOracle(fuzz_case));
+        ASSERT_TRUE(solo.back().result.ok) << solo.back().result.detail;
+        ASSERT_TRUE(solo.back().result.faulted);
+        // Both engine runs (clean, storm) reported to the session,
+        // and the storm injected faults.
+        EXPECT_EQ(solo.back().runs, 2u);
+        EXPECT_GT(solo.back().faults, 0u);
+    }
+    ASSERT_NE(solo[0].log, solo[1].log);
+
+    for (int round = 0; round < 3; ++round) {
+        std::vector<RecordedOracle> concurrent(cases.size());
+        std::vector<std::thread> threads;
+        for (std::size_t i = 0; i < cases.size(); ++i)
+            threads.emplace_back(
+                [&, i] { concurrent[i] = recordOracle(cases[i]); });
+        for (auto &thread : threads)
+            thread.join();
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            EXPECT_EQ(concurrent[i].log, solo[i].log) << "case " << i;
+            expectSameStats(concurrent[i].result.cleanStats,
+                            solo[i].result.cleanStats);
+            expectSameStats(concurrent[i].result.faultStats,
+                            solo[i].result.faultStats);
+        }
+    }
+
+    const auto &global = replay::ReplaySession::global();
+    EXPECT_EQ(global.mode(), replay::Mode::Off);
+    EXPECT_FALSE(global.faultsActive());
 }
 
 TEST(FuzzOracle, NoiseModelIsPureAndGated)

@@ -254,9 +254,8 @@ TEST(ServingConcurrencyTest, ConcurrentlyRecordedLogsReplayCleanly)
                 ExecutionPlan again = plans[i];
                 again.recordChoices = false;
                 replay::ReplaySession session;
-                replay::ScopedSessionInstall install(session);
                 session.startReplay(*log);
-                const PlanResult rerun = runner.runPlan(again);
+                const PlanResult rerun = runner.runPlan(again, session);
                 const auto report = session.finishReplay();
                 if (!rerun.ok || report.diverged ||
                     report.recordsMatched != log->records.size() ||

@@ -866,6 +866,40 @@ TEST(RunnerTest, SpeculativeRunsAreDeterministic)
     const PlanResult c = runner.runPlan(specPlan(22));
     ASSERT_TRUE(c.ok);
     EXPECT_NE(a.resultBlob, c.resultBlob);
+
+    // aux-batch=2 fuses the two initial aux windows into one lockstep
+    // task (one task record fewer). The batched auxiliary is
+    // bit-identical to the scalar one, so the bytes do not move; the
+    // run is as deterministic, and its log replays with zero
+    // divergence.
+    ExecutionPlan batched = specPlan(21);
+    batched.limits.auxBatchGroups = 2;
+    auto &records =
+        obs::MetricsRegistry::global().counter("engine.arena.records");
+    const std::int64_t before = records.value();
+    runner.runPlan(specPlan(21));
+    const std::int64_t scalar = records.value() - before;
+    const PlanResult d = runner.runPlan(batched);
+    EXPECT_EQ(records.value() - before - scalar, scalar - 1);
+    const PlanResult e = runner.runPlan(batched);
+    ASSERT_TRUE(d.ok && e.ok) << d.error << e.error;
+    EXPECT_EQ(d.resultBlob, a.resultBlob);
+    EXPECT_EQ(d.resultBlob, e.resultBlob);
+    EXPECT_EQ(d.recordLog, e.recordLog);
+
+    std::istringstream stream(d.recordLog);
+    std::string error;
+    const auto log = replay::RecordLog::load(stream, error);
+    ASSERT_TRUE(log.has_value()) << error;
+    batched.recordChoices = false;
+    replay::ReplaySession session;
+    session.startReplay(*log);
+    const PlanResult replayed = runner.runPlan(batched, session);
+    const replay::ReplayReport report = session.finishReplay();
+    ASSERT_TRUE(replayed.ok) << replayed.error;
+    EXPECT_FALSE(report.diverged) << report.first.describe();
+    EXPECT_EQ(report.recordsMatched, log->records.size());
+    EXPECT_EQ(replayed.resultBlob, d.resultBlob);
 }
 
 TEST(RunnerTest, ServedRecordLogReplaysWithZeroDivergence)
