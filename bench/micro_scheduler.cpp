@@ -22,12 +22,13 @@
  *  - end-to-end ThreadExecutor throughput (tasks/s including the
  *    commit-lane completion callback),
  *  - an engine-shaped pipeline (window task -> match check -> commit):
- *    arena-backed window records, serialized commit callbacks that
- *    retire the record and submit the next window from inside the
- *    commit lane. A warm-up epoch fills every freelist and arena
- *    block; the measured epoch then runs under this TU's global
- *    operator-new override, and `engineAllocsPerTask` reports what
- *    little heap traffic is left (zero in steady state).
+ *    preallocated window records, serialized commit callbacks that
+ *    retire the window and submit the next one from inside the commit
+ *    lane, seeded by a bootstrap task's callback as the engine is. A
+ *    warm-up epoch fills every freelist; the measured epoch then runs
+ *    under this TU's global operator-new override, and
+ *    `engineAllocsPerTask` reports what little heap traffic is left
+ *    (zero in steady state).
  *
  * Output: a table plus BENCH_scheduler.json. CI runs `--smoke
  * --check=<baseline>` and fails when, at ANY measured worker count,
@@ -59,7 +60,6 @@
 #include "support/json.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
-#include "threading/arena.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace {
@@ -68,9 +68,8 @@ namespace {
  * Process-wide heap-allocation counter, fed by the global operator-new
  * override below. The engine-shaped scenario snapshots it around a
  * steady-state epoch: the submit -> run -> match-check -> commit round
- * trip is supposed to be allocation-free once the freelists and arena
- * blocks are warm, and this counter is how the claim is enforced
- * rather than asserted.
+ * trip is supposed to be allocation-free once the freelists are warm,
+ * and this counter is how the claim is enforced rather than asserted.
  */
 std::atomic<std::uint64_t> g_heapAllocs{0};
 
@@ -415,34 +414,38 @@ runConfig(int workers, std::size_t tasks)
 
     { // Engine-shaped pipeline: window task -> match check -> commit.
       // Mirrors the speculation engine's hot path (spec_engine.hpp):
-      // each window's record lives in a TaskArena, the task body
+      // each window's record is a preallocated slot, the task body
       // computes a digest over the window (the match check), and the
-      // serialized commit callback retires the record and submits the
-      // next window from inside the commit lane — the exact
-      // external-synchronization contract the arena relies on. The
-      // first epoch warms the executor's record freelist, the pool's
-      // node freelists, and the arena's blocks; the second epoch is
-      // measured, and the operator-new override at the top of this
-      // file counts every heap allocation anyone performs during it.
+      // serialized commit callback retires the window and submits the
+      // next one from inside the commit lane. As in SpecEngine::start,
+      // a zero-cost bootstrap task seeds the first windows from its
+      // own completion callback, so every window is made inside the
+      // lane and the pipeline's counter needs no lock. The first
+      // epoch warms the executor's record freelist and the pool's
+      // node freelists; the second epoch is measured, and the
+      // operator-new override at the top of this file counts every
+      // heap allocation anyone performs during it.
         stats::exec::ThreadExecutor executor(workers);
-        stats::threading::TaskArena arena;
         struct WindowRec
         {
             std::uint64_t seed = 0;
             std::uint64_t digest = 0;
         };
+        // One slot per window, reused by both epochs.
+        std::vector<WindowRec> recs(tasks);
         struct Pipeline
         {
             stats::exec::ThreadExecutor *executor;
-            stats::threading::TaskArena *arena;
+            std::vector<WindowRec> *recs;
             std::atomic<std::uint64_t> *sink;
-            std::int64_t toSubmit = 0; ///< Pre-submit + lane only.
+            std::int64_t toSubmit = 0; ///< Lane only, once seeded.
 
             stats::exec::Task
             makeWindow()
             {
                 --toSubmit;
-                WindowRec *rec = arena->create<WindowRec>();
+                WindowRec *rec =
+                    &(*recs)[static_cast<std::size_t>(toSubmit)];
                 rec->seed = static_cast<std::uint64_t>(toSubmit) *
                             0x9e3779b97f4a7c15ull;
                 stats::exec::Task task;
@@ -457,12 +460,11 @@ runConfig(int workers, std::size_t tasks)
                 };
                 task.onComplete = [this, rec] {
                     // Commit: the lane serializes these, so the
-                    // arena needs no lock — and the next window is
+                    // counter needs no lock — and the next window is
                     // submitted from a worker thread, taking the
                     // pool's continuation fast path.
                     sink->fetch_add(rec->digest & 1,
                                     std::memory_order_relaxed);
-                    arena->destroy(rec);
                     if (toSubmit > 0)
                         executor->submit(makeWindow());
                 };
@@ -473,18 +475,23 @@ runConfig(int workers, std::size_t tasks)
             runEpoch(std::size_t n, int workers)
             {
                 toSubmit = static_cast<std::int64_t>(n);
-                // Seed one pipeline per worker slot; every later
-                // window is spawned by a commit callback, so all
-                // arena mutation after this loop is lane-serialized.
                 const std::int64_t depth =
                     std::min<std::int64_t>(2 * workers, toSubmit);
-                for (std::int64_t i = 0; i < depth; ++i)
-                    executor->submit(makeWindow());
+                // Seed one pipeline per worker slot from inside the
+                // lane; every later window is spawned by a commit.
+                stats::exec::Task bootstrap;
+                bootstrap.run = [] {
+                    return stats::exec::Work{0.0, 0.0};
+                };
+                bootstrap.onComplete = [this, depth] {
+                    for (std::int64_t i = 0; i < depth; ++i)
+                        executor->submit(makeWindow());
+                };
+                executor->submit(std::move(bootstrap));
                 executor->drain();
-                arena->drainEpoch();
             }
         };
-        Pipeline pipeline{&executor, &arena, &sink};
+        Pipeline pipeline{&executor, &recs, &sink};
         pipeline.runEpoch(tasks, workers); // Warm-up epoch.
         const std::uint64_t before =
             g_heapAllocs.load(std::memory_order_relaxed);

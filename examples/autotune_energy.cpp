@@ -36,7 +36,7 @@ main()
     autotuner::Autotuner time_tuner(bench->stateSpace(kThreads), 11);
     const auto for_time = time_tuner.tune(
         profiler.objectiveFunction(profiler::Objective::Time), kBudget);
-    const std::size_t profiled_after_time = profiler.runsPerformed();
+    const std::size_t profiled_after_time = profiler.store().size();
 
     autotuner::Autotuner energy_tuner(bench->stateSpace(kThreads), 13);
     const auto for_energy = energy_tuner.tune(
@@ -58,7 +58,7 @@ main()
     std::printf("benchmark runs: %zu for the time search, %zu more "
                 "for the energy search (store hits are free)\n",
                 profiled_after_time,
-                profiler.runsPerformed() - profiled_after_time);
+                profiler.store().size() - profiled_after_time);
 
     const auto space = bench->stateSpace(kThreads);
     std::printf("\ntime-optimal:   %s\n",

@@ -466,26 +466,19 @@ trackName(std::int32_t track)
     return "exec " + std::to_string(track);
 }
 
-/** Steal/park and allocation activity at a glance. */
+/** Steal/park and commit-lane activity at a glance. */
 void
 printSchedulerFooter(const std::vector<obs::Event> &events)
 {
     std::size_t steals = 0;
     std::size_t parks = 0;
     std::size_t unparks = 0;
-    std::size_t refills = 0;
-    std::size_t heap_refills = 0;
     std::size_t lane_enqueues = 0;
     for (const auto &event : events) {
         switch (event.type) {
           case obs::EventType::TaskStolen:   ++steals;  break;
           case obs::EventType::WorkerPark:   ++parks;   break;
           case obs::EventType::WorkerUnpark: ++unparks; break;
-          case obs::EventType::ArenaRefill:
-            ++refills;
-            if (event.inputEnd == 1)
-                ++heap_refills;
-            break;
           case obs::EventType::CommitLaneEnqueue:
             ++lane_enqueues;
             break;
@@ -494,9 +487,7 @@ printSchedulerFooter(const std::vector<obs::Event> &events)
     }
     // Real-thread runs only; simulated runs legitimately show zeros.
     std::cout << "\nscheduler: " << steals << " steals, " << parks
-              << " parks, " << unparks << " unparks\n";
-    std::cout << "allocation: " << refills << " arena refills ("
-              << heap_refills << " from the heap), " << lane_enqueues
+              << " parks, " << unparks << " unparks, " << lane_enqueues
               << " commit-lane enqueues\n";
 }
 

@@ -32,7 +32,6 @@ eventTypeName(EventType type)
       case EventType::QueueDepth:       return "QueueDepth";
       case EventType::ReplayDivergence: return "ReplayDivergence";
       case EventType::FaultInjected:    return "FaultInjected";
-      case EventType::ArenaRefill:      return "ArenaRefill";
       case EventType::CommitLaneEnqueue:
         return "CommitLaneEnqueue";
       case EventType::RequestAdmitted:  return "RequestAdmitted";
@@ -83,7 +82,6 @@ isSchedulerEvent(EventType type)
       case EventType::WorkerPark:
       case EventType::WorkerUnpark:
       case EventType::QueueDepth:
-      case EventType::ArenaRefill:
       case EventType::CommitLaneEnqueue:
         return true;
       default:
@@ -164,10 +162,15 @@ Trace::disable()
 
 namespace {
 
-/** Per-thread sink cache, invalidated when the epoch moves. */
+/**
+ * Per-thread sink cache, invalidated when the epoch moves. It co-owns
+ * the sink, which therefore outlives a clear() that drops it from the
+ * registry: an idle pool worker may still be recording (park/unpark
+ * events) while another thread clears the trace.
+ */
 struct ThreadSlot
 {
-    void *sink = nullptr;
+    std::shared_ptr<void> sink;
     std::uint64_t epoch = ~0ull;
     std::int32_t track = -1;
 };
@@ -182,16 +185,16 @@ Trace::sinkForThisThread()
     if (t_slot.sink == nullptr ||
         t_slot.epoch != _epoch.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> lock(_registryMutex);
-        auto sink = std::make_unique<Sink>();
+        auto sink = std::make_shared<Sink>();
         sink->ring.resize(_capacity);
-        t_slot.sink = sink.get();
+        t_slot.sink = sink;
         t_slot.epoch = _epoch.load(std::memory_order_relaxed);
         if (t_slot.track < 0)
             t_slot.track =
                 _nextTrack.fetch_add(1, std::memory_order_relaxed);
         _sinks.push_back(std::move(sink));
     }
-    return *static_cast<Sink *>(t_slot.sink);
+    return *static_cast<Sink *>(t_slot.sink.get());
 }
 
 std::int32_t

@@ -24,7 +24,10 @@
  *
  * collect(), clear(), and disable() are *quiescent-time* operations:
  * call them only when no recording task is in flight (e.g. after
- * Executor::drain()/SpecEngine::join()).
+ * Executor::drain()/SpecEngine::join()). Idle pool workers may still
+ * record park/unpark events then; clear() stays memory-safe against
+ * them (each thread keeps its own sink alive), and what they record
+ * meanwhile may be lost.
  */
 
 #pragma once
@@ -85,10 +88,7 @@ enum class EventType : std::uint8_t
     ReplayDivergence, ///< Replay left the recorded path (arg: epoch).
     FaultInjected,    ///< Fault-plan injection fired (arg: FaultKind).
 
-    // Allocation/commit-pipeline instants (schema v4).
-    ArenaRefill, ///< Task arena switched blocks: inputBegin = block
-                 ///< bytes, inputEnd = 1 when the block came from the
-                 ///< heap / 0 when recycled, arg = arena epoch.
+    // Commit-pipeline instant (schema v4).
     CommitLaneEnqueue, ///< Serialized completion entered the commit
                        ///< lane (arg: 1 when the pushing worker became
                        ///< the drainer, 0 when handed off).
@@ -112,8 +112,8 @@ enum class EventType : std::uint8_t
                      ///< cache entries after the hit).
 };
 
-inline constexpr int kEventTypeCount = 31;
-inline constexpr int kSchemaVersion = 6;
+inline constexpr int kEventTypeCount = 30;
+inline constexpr int kSchemaVersion = 7;
 
 /** Stable name of an event type (as documented in the schema). */
 const char *eventTypeName(EventType type);
@@ -255,7 +255,7 @@ class Trace
     void push(Sink &sink, const Event &event);
 
     mutable std::mutex _registryMutex;
-    std::vector<std::unique_ptr<Sink>> _sinks;
+    std::vector<std::shared_ptr<Sink>> _sinks;
     std::atomic<bool> _enabled{false};
     std::atomic<std::uint64_t> _nextSeq{1};
     std::atomic<std::int32_t> _nextTrack{0};

@@ -77,9 +77,6 @@ class Profiler
     autotuner::Autotuner::Objective
     objectiveFunction(Objective objective);
 
-    /** Configurations actually executed (cache misses). */
-    std::size_t runsPerformed() const { return _runs; }
-
     /** Measurements profiled so far, by configuration. */
     const std::map<tradeoff::Configuration, Measurement> &store() const
     {

@@ -131,7 +131,6 @@ class ReplaySession
 
     /** Install (or clear, with an inactive plan) the fault plan. */
     void setFaultPlan(FaultPlan plan);
-    const FaultPlan &faultPlan() const { return _plan; }
 
     Mode mode() const
     {

@@ -21,17 +21,16 @@
  * platform. All engine bookkeeping is mutated exclusively inside
  * completion callbacks, which both executors serialize.
  *
- * Hot-path allocation discipline: every in-flight task owns exactly
- * one record in a per-engine TaskArena (outputs, final state,
- * checkpoint, and work counter in one bump-pointer allocation) instead
- * of the former four shared_ptr bundles. Task closures capture only
- * {engine, group index, record pointer} and therefore fit the
- * executor's inline closure storage — a window task submission
- * performs zero heap allocations in steady state. Records are created
- * and destroyed only inside the serialized completion callbacks, which
- * is the arena's external-synchronization contract; the arena's epoch
- * is drained at join(), after the executor's drain() quiescent point
- * (docs/INTERNALS.md §4).
+ * Task records need no allocator: a group runs its tasks one after
+ * another (aux, then body, then up to R re-executions of its tail), so
+ * each group holds one TaskRec slot for its in-flight task (plus a
+ * BatchAuxRec slot when it leads a batched aux task), and the engine
+ * holds one more for the conventional or squash-recovery run, which
+ * never coexist. Task closures capture only {engine, group index,
+ * slot pointer} and therefore fit the executor's inline closure
+ * storage. Slots are reset only inside the serialized completion
+ * callbacks, and `_groups` is built once in start() and never resized,
+ * so a worker's slot pointer stays valid (docs/INTERNALS.md §4).
  */
 
 #pragma once
@@ -43,12 +42,10 @@
 #include <vector>
 
 #include "exec/task.hpp"
-#include "observability/metrics.hpp"
 #include "observability/trace.hpp"
 #include "replay/session.hpp"
 #include "sdi/spec_config.hpp"
 #include "support/log.hpp"
-#include "threading/arena.hpp"
 
 namespace stats::sdi {
 
@@ -139,15 +136,6 @@ class SpecEngine
         _config.sdThreads = std::max(1, _config.sdThreads);
         _config.innerThreads = std::max(1, _config.innerThreads);
         _config.auxBatchGroups = std::max(1, _config.auxBatchGroups);
-        _arena.setRefillHook([this](std::size_t bytes, bool heap) {
-            if (!obs::traceActive())
-                return;
-            obs::Trace::global().record(
-                obs::EventType::ArenaRefill, -1,
-                static_cast<std::int64_t>(bytes), heap ? 1 : 0,
-                _executor.now(), obs::kFrontierTrack,
-                static_cast<std::int64_t>(_arena.stats().epoch));
-        });
     }
 
     /**
@@ -208,10 +196,6 @@ class SpecEngine
         if (!_started)
             support::panic("SpecEngine::join before start");
         _executor.drain();
-        publishArenaMetrics();
-        // Quiescent point: every completion callback ran, so every
-        // task record is dead; recycle the arena blocks.
-        _arena.drainEpoch();
         if (_session.engaged()) {
             replay::RunStatsRecord rs;
             rs.validations = _stats.validations;
@@ -247,6 +231,30 @@ class SpecEngine
         Squashed,
     };
 
+    /**
+     * Results of one in-flight task: outputs, final state, rollback
+     * checkpoint, and work counter. The task's run/onComplete closures
+     * capture only the slot pointer, so they fit the executor's inline
+     * storage. Every completion path — success, squash, cancellation —
+     * resets the slot, so an empty `finalState` means "cancelled before
+     * dispatch" to the next task that uses it.
+     */
+    struct TaskRec
+    {
+        std::vector<std::unique_ptr<Output>> outputs;
+        std::optional<State> finalState;
+        std::optional<State> checkpoint;
+        double workDone = 0.0;
+    };
+
+    /** Results of one batched (lockstep) auxiliary task. */
+    struct BatchAuxRec
+    {
+        std::vector<AuxBatchResult> results;
+        double workDone = 0.0;
+        bool ran = false; ///< False when cancelled before dispatch.
+    };
+
     struct Group
     {
         std::size_t begin = 0;
@@ -275,32 +283,11 @@ class SpecEngine
         /** Tail outputs of each re-execution (indexes originals 1..). */
         std::vector<std::vector<std::unique_ptr<Output>>> reexecTails;
         int reexecsDone = 0;
-    };
 
-    /**
-     * Arena-backed record of one in-flight task: the outputs, final
-     * state, rollback checkpoint, and work counter that used to be
-     * four separate shared_ptr control blocks live in one bump-pointer
-     * allocation. The task's run/onComplete closures capture only the
-     * record pointer, so they fit the executor's inline storage.
-     * Created and destroyed exclusively inside serialized completion
-     * callbacks (the arena's external-synchronization contract);
-     * every completion path — success, squash, cancellation — frees.
-     */
-    struct TaskRec
-    {
-        std::vector<std::unique_ptr<Output>> outputs;
-        std::optional<State> finalState;
-        std::optional<State> checkpoint;
-        double workDone = 0.0;
-    };
-
-    /** Record of one batched (lockstep) auxiliary task. */
-    struct BatchAuxRec
-    {
-        std::vector<AuxBatchResult> results;
-        double workDone = 0.0;
-        bool ran = false; ///< False when cancelled before dispatch.
+        /** The group's one in-flight aux, body or re-execution task. */
+        TaskRec task;
+        /** Used while this group leads a batched aux task. */
+        BatchAuxRec batchAux;
     };
 
     /**
@@ -430,7 +417,7 @@ class SpecEngine
     void
     submitConventional()
     {
-        TaskRec *rec = _arena.create<TaskRec>();
+        TaskRec *rec = &_sequentialTask;
         exec::Task task;
         task.width = _config.innerThreads;
         task.run = [this, rec] {
@@ -447,7 +434,7 @@ class SpecEngine
             _conventionalOutputs = std::move(rec->outputs);
             _stats.invocations +=
                 static_cast<std::int64_t>(_inputs.size());
-            _arena.destroy(rec);
+            *rec = {};
         };
         _executor.submit(std::move(task));
     }
@@ -507,7 +494,7 @@ class SpecEngine
         const std::size_t begin_input = group.begin;
         const std::size_t window_begin = auxWindowBegin(j);
 
-        TaskRec *rec = _arena.create<TaskRec>();
+        TaskRec *rec = &group.task;
         exec::Task task;
         task.width = 1;
         task.cancel = group.cancel;
@@ -531,14 +518,14 @@ class SpecEngine
             Group &g = _groups[j];
             if (g.status == GroupStatus::Squashed ||
                 !rec->finalState.has_value()) {
-                // Squashed, or cancelled before dispatch: the record
-                // still dies here — every completion path frees.
-                _arena.destroy(rec);
+                // Squashed, or cancelled before dispatch: the slot is
+                // still reset here, as on every completion path.
+                *rec = {};
                 return;
             }
             _stats.auxWorkSeconds += rec->workDone;
             State state = std::move(*rec->finalState);
-            _arena.destroy(rec);
+            *rec = {};
             deliverAuxResult(j, std::move(state));
         };
         return task;
@@ -564,7 +551,7 @@ class SpecEngine
             _groups[first + i].status = GroupStatus::AuxRunning;
         ++_stats.auxTasks;
 
-        BatchAuxRec *rec = _arena.create<BatchAuxRec>();
+        BatchAuxRec *rec = &_groups[first].batchAux;
         exec::Task task;
         task.width = 1;
         task.cancel = _groups[first].cancel;
@@ -599,7 +586,7 @@ class SpecEngine
         };
         task.onComplete = [this, first, count, rec] {
             if (!rec->ran) { // Cancelled before dispatch.
-                _arena.destroy(rec);
+                *rec = {};
                 return;
             }
             _stats.auxWorkSeconds += rec->workDone;
@@ -610,7 +597,7 @@ class SpecEngine
                 deliverAuxResult(first + i,
                                  std::move(rec->results[i].state));
             }
-            _arena.destroy(rec);
+            *rec = {};
         };
         return task;
     }
@@ -626,7 +613,7 @@ class SpecEngine
     makeBodyTask(std::size_t j)
     {
         Group &group = _groups[j];
-        TaskRec *rec = _arena.create<TaskRec>();
+        TaskRec *rec = &group.task;
 
         exec::Task task;
         task.width = _config.innerThreads;
@@ -650,7 +637,7 @@ class SpecEngine
             Group &g = _groups[j];
             if (g.status == GroupStatus::Squashed ||
                 !rec->finalState.has_value()) {
-                _arena.destroy(rec); // Squashed / cancelled.
+                *rec = {}; // Squashed / cancelled.
                 return;
             }
             ++_stats.stateClones;
@@ -659,7 +646,7 @@ class SpecEngine
             g.finalState = std::move(rec->finalState);
             g.checkpointState = std::move(rec->checkpoint);
             g.status = GroupStatus::BodyDone;
-            _arena.destroy(rec);
+            *rec = {};
             _stats.invocations +=
                 static_cast<std::int64_t>(g.end - g.begin);
             if (j == _frontier && (j == 0 || g.startValidated))
@@ -808,7 +795,7 @@ class SpecEngine
                        p, producer.checkpointPos, producer.end);
         }
 
-        TaskRec *rec = _arena.create<TaskRec>();
+        TaskRec *rec = &producer.task;
         exec::Task task;
         task.width = _config.innerThreads;
         task.tag = {obs::TaskKind::ReExec,
@@ -841,7 +828,7 @@ class SpecEngine
                 static_cast<std::int64_t>(g.end - g.checkpointPos);
             g.originalFinals.push_back(std::move(*rec->finalState));
             g.reexecTails.push_back(std::move(rec->outputs));
-            _arena.destroy(rec);
+            *rec = {};
             validate(p + 1);
         };
         _executor.submit(std::move(task));
@@ -886,7 +873,7 @@ class SpecEngine
         _stats.sequentialInputs +=
             static_cast<std::int64_t>(n - restart_begin);
 
-        TaskRec *rec = _arena.create<TaskRec>();
+        TaskRec *rec = &_sequentialTask;
         exec::Task task;
         task.width = _config.innerThreads;
         task.tag = {obs::TaskKind::Recovery,
@@ -907,7 +894,7 @@ class SpecEngine
             ++_stats.stateClones;
             _stats.bodyWorkSeconds += rec->workDone;
             _recoveryOutputs = std::move(rec->outputs);
-            _arena.destroy(rec);
+            *rec = {};
             _stats.invocations +=
                 static_cast<std::int64_t>(_recoveryOutputs.size());
         };
@@ -936,40 +923,6 @@ class SpecEngine
         }
     }
 
-    /**
-     * Export the arena's allocation profile through the metrics
-     * registry (called at join(), before the epoch drain resets
-     * nothing — stats are cumulative). The headline gauge is
-     * engine.arena.allocations_per_task: heap allocations charged to
-     * each task record, which drops to 0 in steady state once the
-     * arena's blocks are warm.
-     */
-    void
-    publishArenaMetrics()
-    {
-        const threading::TaskArena::Stats arena = _arena.stats();
-        auto &registry = obs::MetricsRegistry::global();
-        registry.counter("engine.arena.records")
-            .add(static_cast<std::int64_t>(arena.allocations));
-        registry.counter("engine.arena.bytes")
-            .add(static_cast<std::int64_t>(arena.bytes));
-        registry.counter("engine.arena.block_allocs")
-            .add(static_cast<std::int64_t>(arena.blockAllocs));
-        if (arena.allocations > 0) {
-            registry.gauge("engine.arena.allocations_per_task")
-                .set(static_cast<double>(arena.blockAllocs) /
-                     static_cast<double>(arena.allocations));
-        }
-        const std::int64_t committed =
-            _stats.validations + (_conventional ? 1 : 0) +
-            (_stats.groups > 0 ? 1 : 0); // Group 0 needs no validation.
-        if (committed > 0) {
-            registry.gauge("engine.arena.bytes_per_commit")
-                .set(static_cast<double>(arena.bytes) /
-                     static_cast<double>(committed));
-        }
-    }
-
     exec::Executor &_executor;
     replay::ReplaySession &_session;
     const std::vector<Input> &_inputs;
@@ -980,9 +933,6 @@ class SpecEngine
     BatchAuxFn _batchAux;
     SpecConfig _config;
 
-    /** Backs every in-flight task record; see TaskRec. */
-    threading::TaskArena _arena;
-
     std::vector<Group> _groups;
     std::size_t _frontier = 0;
     std::size_t _nextToSubmit = 0;
@@ -991,6 +941,9 @@ class SpecEngine
     std::size_t _abortGroup = 0;
     bool _started = false;
     bool _conventional = false;
+
+    /** The conventional run's or the squash-recovery run's slot. */
+    TaskRec _sequentialTask;
 
     std::vector<std::unique_ptr<Output>> _conventionalOutputs;
     std::vector<std::unique_ptr<Output>> _recoveryOutputs;

@@ -4,11 +4,9 @@
  *
  * The paper's runtime "includes low-level implementations of thread
  * synchronization primitives" (section 3.4) to keep the speculation
- * engine's coordination cheap. This module provides the two the
- * engine's real-thread path builds on: a spin barrier for
- * gang-style phase synchronization (the per-annealing-layer barrier
- * of bodytrack's original TLP), and a bounded MPMC queue for
- * low-latency task handoff.
+ * engine's coordination cheap. This module provides the bounded MPMC
+ * queue behind the thread pool's injector and the thread executor's
+ * record freelist.
  */
 
 #pragma once
@@ -19,28 +17,6 @@
 #include <optional>
 
 namespace stats::threading {
-
-/**
- * Sense-reversing spin barrier for a fixed set of participants.
- *
- * All participants call arriveAndWait(); the last one flips the
- * sense and releases the rest. Reusable across rounds.
- */
-class SpinBarrier
-{
-  public:
-    explicit SpinBarrier(std::size_t participants);
-
-    /** Block (spinning) until all participants arrive. */
-    void arriveAndWait();
-
-    std::size_t participants() const { return _participants; }
-
-  private:
-    const std::size_t _participants;
-    std::atomic<std::size_t> _waiting;
-    std::atomic<bool> _sense;
-};
 
 /**
  * Bounded lock-free multi-producer/multi-consumer queue

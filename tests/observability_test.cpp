@@ -14,9 +14,11 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -238,6 +240,35 @@ TEST_F(ObsTest, ClearResetsEventsAndDropCounter)
     trace.record(EventType::Commit, 1, 1, 2, 0.0, obs::kFrontierTrack,
                  0);
     EXPECT_EQ(trace.collect().size(), 1u);
+}
+
+TEST_F(ObsTest, ClearIsMemorySafeWhileAnIdleThreadRecords)
+{
+    // An idle pool worker records park/unpark events outside any
+    // task, so even a clear() after drain() can race with it; the
+    // worker's cached sink must outlive the clear.
+    auto &trace = obs::Trace::global();
+    trace.enable(/* per_thread_capacity */ 16);
+    std::atomic<bool> stop{false};
+    std::atomic<int> recorded{0};
+    std::thread recorder([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            trace.record(EventType::WorkerPark, -1, -1, -1, 0.0, 0);
+            recorded.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+    for (int i = 0; i < 2000; ++i) {
+        // Clear only once the recorder is using its current sink.
+        const int seen = recorded.load(std::memory_order_relaxed);
+        while (recorded.load(std::memory_order_relaxed) == seen)
+            std::this_thread::yield();
+        trace.clear();
+    }
+    stop.store(true, std::memory_order_relaxed);
+    recorder.join();
+    trace.record(EventType::Commit, 0, 0, 1, 0.0, obs::kFrontierTrack,
+                 0);
+    EXPECT_FALSE(trace.collect().empty());
 }
 
 // ------------------------------------------------- ordering guarantees

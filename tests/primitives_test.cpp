@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the low-level synchronization primitives: the spin
- * barrier and the bounded MPMC queue.
+ * Tests of the low-level synchronization primitives: the bounded
+ * MPMC queue.
  */
 
 #include <atomic>
@@ -15,41 +15,6 @@
 namespace {
 
 using namespace stats::threading;
-
-TEST(SpinBarrier, SingleParticipantNeverBlocks)
-{
-    SpinBarrier barrier(1);
-    for (int round = 0; round < 100; ++round)
-        barrier.arriveAndWait();
-    SUCCEED();
-}
-
-TEST(SpinBarrier, SynchronizesPhases)
-{
-    constexpr int kThreads = 4;
-    constexpr int kRounds = 50;
-    SpinBarrier barrier(kThreads);
-    std::atomic<int> in_phase{0};
-    std::atomic<bool> violated{false};
-
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            for (int round = 0; round < kRounds; ++round) {
-                in_phase.fetch_add(1);
-                barrier.arriveAndWait();
-                // Everybody must have entered the phase by now.
-                if (in_phase.load() < kThreads * (round + 1))
-                    violated.store(true);
-                barrier.arriveAndWait();
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-    EXPECT_FALSE(violated.load());
-    EXPECT_EQ(in_phase.load(), kThreads * kRounds);
-}
 
 TEST(MpmcQueue, CapacityRoundsUpToPowerOfTwo)
 {

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "observability/metrics.hpp"
+#include "observability/trace.hpp"
 #include "replay/record_log.hpp"
 #include "replay/session.hpp"
 #include "serving/admission.hpp"
@@ -868,19 +869,36 @@ TEST(RunnerTest, SpeculativeRunsAreDeterministic)
     EXPECT_NE(a.resultBlob, c.resultBlob);
 
     // aux-batch=2 fuses the two initial aux windows into one lockstep
-    // task (one task record fewer). The batched auxiliary is
+    // task (one AuxStart span fewer). The batched auxiliary is
     // bit-identical to the scalar one, so the bytes do not move; the
     // run is as deterministic, and its log replays with zero
     // divergence.
     ExecutionPlan batched = specPlan(21);
     batched.limits.auxBatchGroups = 2;
-    auto &records =
-        obs::MetricsRegistry::global().counter("engine.arena.records");
-    const std::int64_t before = records.value();
-    runner.runPlan(specPlan(21));
-    const std::int64_t scalar = records.value() - before;
-    const PlanResult d = runner.runPlan(batched);
-    EXPECT_EQ(records.value() - before - scalar, scalar - 1);
+    auto &trace = obs::Trace::global();
+    const auto tracedAuxSpans = [&](const ExecutionPlan &plan,
+                                    PlanResult &result) {
+        trace.disable();
+        trace.clear();
+        trace.enable();
+        result = runner.runPlan(plan);
+        trace.disable();
+        const auto events = trace.collect();
+        trace.clear();
+        return std::count_if(events.begin(), events.end(),
+                             [](const obs::Event &event) {
+                                 return event.type ==
+                                        obs::EventType::AuxStart;
+                             });
+    };
+    PlanResult scalarRun;
+    PlanResult d;
+    const auto scalar = tracedAuxSpans(specPlan(21), scalarRun);
+    const auto fused = tracedAuxSpans(batched, d);
+    if (STATS_OBS_ENABLED) {
+        EXPECT_GT(scalar, 1);
+        EXPECT_EQ(fused, scalar - 1);
+    }
     const PlanResult e = runner.runPlan(batched);
     ASSERT_TRUE(d.ok && e.ok) << d.error << e.error;
     EXPECT_EQ(d.resultBlob, a.resultBlob);

@@ -25,7 +25,6 @@
 
 #include "exec/sim_executor.hpp"
 #include "exec/thread_executor.hpp"
-#include "observability/metrics.hpp"
 #include "sdi/matchers.hpp"
 #include "sdi/spec_engine.hpp"
 
@@ -401,42 +400,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 3, 8),
                        ::testing::Values(0, 1, 4),
                        ::testing::Values(1, 2, 16)));
-
-TEST(SpecEngine, PublishesArenaMetricsAtJoin)
-{
-    // join() exports the arena allocation profile to the global
-    // metrics registry (docs/OBSERVABILITY.md §3). The registry is
-    // cumulative across tests, so assert on deltas and bounds.
-    auto &registry = obs::MetricsRegistry::global();
-    const std::int64_t recordsBefore =
-        registry.counter("engine.arena.records").value();
-    const auto inputs = makeInputs(40);
-    exec::SimExecutor ex(simMachine(), 8);
-    SpecConfig config;
-    config.groupSize = 4;
-    config.auxWindow = 1;
-    config.sdThreads = 8;
-    Engine engine(ex, inputs, ToyState{}, makeCompute(nullptr), makeAux(),
-                  exactAnyMatcher(), config);
-    engine.start();
-    engine.join();
-    expectOutputsEqual(engine.outputs(), reference(inputs));
-
-    EXPECT_GT(registry.counter("engine.arena.records").value(),
-              recordsBefore)
-        << "join() must publish the arena's record count";
-    const obs::Gauge *perTask =
-        registry.findGauge("engine.arena.allocations_per_task");
-    ASSERT_NE(perTask, nullptr);
-    // Heap allocations charged per task record: a handful of block
-    // refills amortized over every window task, far below one.
-    EXPECT_GE(perTask->value(), 0.0);
-    EXPECT_LT(perTask->value(), 1.0);
-    const obs::Gauge *perCommit =
-        registry.findGauge("engine.arena.bytes_per_commit");
-    ASSERT_NE(perCommit, nullptr);
-    EXPECT_GT(perCommit->value(), 0.0);
-}
 
 TEST(SpecEngine, RunsOnRealThreads)
 {
