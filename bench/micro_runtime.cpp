@@ -2,7 +2,9 @@
  * @file
  * Microbenchmarks (google-benchmark) of the STATS runtime substrate:
  * speculation-engine orchestration overhead, state cloning, thread
- * pool dispatch, and the platform simulator's event throughput.
+ * pool dispatch, the platform simulator's event throughput, and the
+ * Monte-Carlo hot path the kernels share (normals, entropy seeds,
+ * one swaptions batch, one fluidanimate frame).
  *
  * These quantify the "low-level implementations of thread
  * synchronization primitives" and "efficient thread pool" the paper's
@@ -11,10 +13,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include "benchmarks/fluidanimate/fluidanimate.hpp"
+#include "benchmarks/swaptions/swaptions.hpp"
 #include "exec/sim_executor.hpp"
 #include "observability/trace.hpp"
 #include "sdi/matchers.hpp"
 #include "sdi/spec_engine.hpp"
+#include "support/rng.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace {
@@ -216,6 +221,72 @@ BM_StateCloning(benchmark::State &bench_state)
     }
 }
 BENCHMARK(BM_StateCloning)->Arg(1000)->Arg(10000);
+
+/** One standard normal draw. */
+void
+BM_Gaussian(benchmark::State &bench_state)
+{
+    support::Xoshiro256 rng(1);
+    for (auto _ : bench_state)
+        benchmark::DoNotOptimize(rng.gaussian());
+    bench_state.SetItemsProcessed(
+        static_cast<std::int64_t>(bench_state.iterations()));
+}
+BENCHMARK(BM_Gaussian);
+
+/** One unpinned entropy seed, per calling thread. */
+void
+BM_EntropySeed(benchmark::State &bench_state)
+{
+    for (auto _ : bench_state)
+        benchmark::DoNotOptimize(support::entropySeed());
+    bench_state.SetItemsProcessed(
+        static_cast<std::int64_t>(bench_state.iterations()));
+}
+BENCHMARK(BM_EntropySeed)->Threads(1)->Threads(4);
+
+/** One sdi-coarse swaptions batch (480 trials, double tradeoffs). */
+void
+BM_SwaptionsBatch(benchmark::State &bench_state)
+{
+    namespace sw = benchmarks::swaptions;
+    const auto workload =
+        sw::makeWorkload(benchmarks::WorkloadKind::Representative, 1);
+    const sw::Batch batch{0, 0, static_cast<int>(bench_state.range(0))};
+    support::Xoshiro256 rng(1);
+    sw::PriceState state;
+    for (auto _ : bench_state) {
+        benchmark::DoNotOptimize(sw::simulateBatch(
+            state, batch, workload.terms[0], sw::McParams{}, rng));
+    }
+    benchmark::DoNotOptimize(state.sumPayoff);
+    bench_state.SetItemsProcessed(
+        static_cast<std::int64_t>(bench_state.iterations()));
+}
+BENCHMARK(BM_SwaptionsBatch)->Arg(480);
+
+/**
+ * One fluidanimate frame at the default tradeoffs, from the initial
+ * fluid each time (includes copying it), so that the cost does not
+ * drift with a fluid that keeps evolving.
+ */
+void
+BM_FluidFrame(benchmark::State &bench_state)
+{
+    namespace fl = benchmarks::fluidanimate;
+    const fl::Workload workload =
+        fl::makeWorkload(benchmarks::WorkloadKind::Representative, 1);
+    support::Xoshiro256 rng(1);
+    for (auto _ : bench_state) {
+        fl::Fluid fluid = workload.initial;
+        benchmark::DoNotOptimize(fl::advanceFrame(
+            fluid, workload.steps.front(), fl::SphParams{}, rng));
+        benchmark::DoNotOptimize(fluid.positions.data());
+    }
+    bench_state.SetItemsProcessed(
+        static_cast<std::int64_t>(bench_state.iterations()));
+}
+BENCHMARK(BM_FluidFrame);
 
 } // namespace
 

@@ -80,16 +80,23 @@ simulateBatch(PriceState &state, const Batch &batch,
         // Mean-reverting short-rate path (Vasicek dynamics).
         double rate = terms.rate0;
         double discount = 1.0;
+        // The double discount is one exp of the summed floored rates;
+        // the float tradeoff keeps its per-step rounded product.
+        double rate_sum = 0.0;
         for (int step = 0; step < kPathSteps; ++step) {
-            const double shock = rng.gaussian(0.0, 1.0);
+            const double shock = rng.gaussian();
             rate += terms.meanReversion * (terms.longTermRate - rate) * dt +
                     terms.volatility * sqrt_dt * shock;
             if (params.floatRatePath)
                 rate = static_cast<float>(rate);
-            discount *= std::exp(-std::max(rate, -0.5) * dt);
             if (params.floatDiscount)
-                discount = static_cast<float>(discount);
+                discount = static_cast<float>(
+                    discount * std::exp(-std::max(rate, -0.5) * dt));
+            else
+                rate_sum += std::max(rate, -0.5);
         }
+        if (!params.floatDiscount)
+            discount = std::exp(-dt * rate_sum);
         const double payoff =
             std::max(rate - terms.strike, 0.0) * discount * 100.0;
         state.sumPayoff += payoff;

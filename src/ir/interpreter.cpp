@@ -48,8 +48,9 @@ Interpreter::Interpreter(const Module &module) : _module(module)
     bindExternal("fabs", [](const std::vector<RtValue> &args) {
         return RtValue::ofFloat(std::fabs(args.at(0).asFloat()));
     });
+    // One generator per thread: interpreters run concurrently.
     bindExternal("rand_uniform", [](const std::vector<RtValue> &) {
-        static support::Xoshiro256 rng(support::entropySeed());
+        thread_local support::Xoshiro256 rng(support::entropySeed());
         return RtValue::ofFloat(rng.nextDouble());
     });
 }

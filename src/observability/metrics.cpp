@@ -125,14 +125,6 @@ MetricsRegistry::findCounter(const std::string &name) const
     return it == _counters.end() ? nullptr : it->second.get();
 }
 
-const Gauge *
-MetricsRegistry::findGauge(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    auto it = _gauges.find(name);
-    return it == _gauges.end() ? nullptr : it->second.get();
-}
-
 const Histogram *
 MetricsRegistry::findHistogram(const std::string &name) const
 {

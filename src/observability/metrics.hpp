@@ -113,7 +113,6 @@ class MetricsRegistry
 
     /** Look up without creating; nullptr when absent. */
     const Counter *findCounter(const std::string &name) const;
-    const Gauge *findGauge(const std::string &name) const;
     const Histogram *findHistogram(const std::string &name) const;
 
     /**

@@ -52,7 +52,13 @@ class Xoshiro256
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
-    /** Standard normal via Box-Muller (cached second value). */
+    /**
+     * Standard normal via a 128-layer ziggurat (Marsaglia & Tsang,
+     * with Doornik's ZIGNOR fix: the layer index and the uniform come
+     * from disjoint bits of one draw). Exact for the normal
+     * distribution; ~99% of calls take one draw, one multiply and one
+     * compare.
+     */
     double gaussian();
 
     /** Normal with given mean and standard deviation. */
@@ -63,17 +69,18 @@ class Xoshiro256
 
   private:
     std::array<std::uint64_t, 4> _s;
-    double _cachedGaussian;
-    bool _hasCachedGaussian;
 };
 
 /**
- * A process-wide entropy source for nondeterministic seeding.
+ * The entropy source for nondeterministic seeding.
  *
- * Mixes std::random_device output, a monotonic counter, and the
- * current time, so every call yields a distinct, unpredictable seed.
- * This mirrors restoring "PRVGs with random seeds as it is done in a
- * real scenario" (paper section 4.2).
+ * Each thread reads std::random_device once, mixed with the current
+ * time and a per-thread index, into a thread_local splitmix64 state;
+ * every call then advances that state. Calls are distinct within a
+ * thread (splitmix64 is a bijection of its counter) and, with
+ * overwhelming probability, across threads, and no unpinned call
+ * writes shared memory. This mirrors restoring "PRVGs with random
+ * seeds as it is done in a real scenario" (paper section 4.2).
  */
 std::uint64_t entropySeed();
 
@@ -81,10 +88,12 @@ std::uint64_t entropySeed();
  * Global switch that makes entropySeed() deterministic.
  *
  * Tests that need reproducible "nondeterminism" install a fixed seed
- * sequence; production/bench code leaves it disabled. Scopes nest:
- * the destructor restores the enclosing scope's base and counter, so
- * a per-run pin (RunRequest::runSeed) composes with a process-wide
- * pin installed by record mode (docs/REPLAY.md).
+ * sequence: while a scope is active, the n-th call process-wide
+ * returns splitmix64(base + n), from one shared counter, whichever
+ * thread makes it. Production/bench code leaves it disabled. Scopes
+ * nest: the destructor restores the enclosing scope's base and
+ * counter, so a per-run pin (RunRequest::runSeed) composes with a
+ * process-wide pin installed by record mode (docs/REPLAY.md).
  */
 class ScopedDeterministicSeeds
 {

@@ -70,17 +70,4 @@ TextTable::print(std::ostream &out) const
         print_line(row);
 }
 
-void
-printSeries(std::ostream &out, const std::string &name,
-            const std::vector<double> &xs, const std::vector<double> &ys,
-            int precision)
-{
-    out << name << ":\n";
-    for (std::size_t i = 0; i < xs.size() && i < ys.size(); ++i) {
-        out << "  " << std::setw(8) << TextTable::formatDouble(xs[i], 0)
-            << " -> "
-            << TextTable::formatDouble(ys[i], precision) << "\n";
-    }
-}
-
 } // namespace stats::support

@@ -1,8 +1,8 @@
 /**
  * @file
- * ASCII table / series printers for the benchmark harnesses.
+ * ASCII table printer for the benchmark harnesses.
  *
- * Every figure and table of the paper is regenerated as rows/series on
+ * Every figure and table of the paper is regenerated as rows on
  * stdout; this module renders them in a fixed-width layout so the
  * output is diff-able run to run.
  */
@@ -36,13 +36,5 @@ class TextTable
     std::vector<std::string> _headers;
     std::vector<std::vector<std::string>> _rows;
 };
-
-/**
- * Print a named series (e.g. "speedup vs threads") as aligned
- * x -> y pairs, one per line.
- */
-void printSeries(std::ostream &out, const std::string &name,
-                 const std::vector<double> &xs,
-                 const std::vector<double> &ys, int precision = 2);
 
 } // namespace stats::support

@@ -7,6 +7,7 @@
  * runtime.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -190,6 +191,69 @@ TEST(SwaptionsKernel, AccumulatorResetsAcrossSwaptions)
                   McParams{}, rng);
     EXPECT_EQ(state.swaption, 1);
     EXPECT_EQ(state.trials, 16); // Fresh accumulator for swaption 1.
+}
+
+TEST(SwaptionsKernel, DiscountMatchesPerStepProduct)
+{
+    using namespace stats::benchmarks::swaptions;
+    // The discount as the path's product of per-step factors, each
+    // float-rounded under the floatDiscount tradeoff.
+    const auto reference = [](PriceState &state, const Batch &batch,
+                              const SwaptionTerms &terms,
+                              const McParams &params,
+                              support::Xoshiro256 &rng) {
+        const double dt = terms.maturityYears / kPathSteps;
+        const double sqrt_dt = std::sqrt(dt);
+        for (int trial = 0; trial < batch.trials; ++trial) {
+            double rate = terms.rate0;
+            double discount = 1.0;
+            for (int step = 0; step < kPathSteps; ++step) {
+                const double shock = rng.gaussian();
+                rate += terms.meanReversion * (terms.longTermRate - rate) *
+                            dt +
+                        terms.volatility * sqrt_dt * shock;
+                if (params.floatRatePath)
+                    rate = static_cast<float>(rate);
+                discount *= std::exp(-std::max(rate, -0.5) * dt);
+                if (params.floatDiscount)
+                    discount = static_cast<float>(discount);
+            }
+            const double payoff =
+                std::max(rate - terms.strike, 0.0) * discount * 100.0;
+            state.sumPayoff += payoff;
+            state.sumSquares += payoff * payoff;
+            ++state.trials;
+        }
+    };
+
+    const auto workload = makeWorkload(WorkloadKind::Representative, 4);
+    for (const bool float_rate : {false, true}) {
+        for (const bool float_discount : {false, true}) {
+            const McParams params{float_rate, float_discount};
+            for (int s = 0; s < kSwaptions; ++s) {
+                const auto &terms =
+                    workload.terms[static_cast<std::size_t>(s)];
+                const Batch batch{s, 0, 4 * kTrialsPerBatch};
+                PriceState got, want;
+                want.swaption = s;
+                support::Xoshiro256 rng_got(100 + s), rng_want(100 + s);
+                const double ops =
+                    simulateBatch(got, batch, terms, params, rng_got);
+                reference(want, batch, terms, params, rng_want);
+                EXPECT_EQ(ops, batch.trials * kPathSteps * 9.0);
+                EXPECT_EQ(got.trials, want.trials);
+                ASSERT_GT(want.sumPayoff, 0.0);
+                if (float_discount) {
+                    EXPECT_EQ(got.sumPayoff, want.sumPayoff);
+                    EXPECT_EQ(got.sumSquares, want.sumSquares);
+                } else {
+                    EXPECT_NEAR(got.sumPayoff / want.sumPayoff, 1.0, 1e-12);
+                    EXPECT_NEAR(got.sumSquares / want.sumSquares, 1.0,
+                                1e-12);
+                }
+            }
+        }
+    }
 }
 
 TEST(StreamclusterKernel, RespectsClusterBounds)

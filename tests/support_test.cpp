@@ -4,8 +4,12 @@
  * writing, string utilities, command-line parsing.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,11 +75,62 @@ TEST(Rng, GaussianMoments)
     EXPECT_NEAR(stat.stddev(), 2.0, 0.05);
 }
 
+TEST(Rng, GaussianMatchesNormal)
+{
+    // Chi-square over 100 equiprobable bins (x lands in bin
+    // floor(100 * Phi(x))), plus each side's count beyond 3.5 sigma,
+    // which only the ziggurat's tail branch produces.
+    constexpr int kDraws = 1000000;
+    constexpr int kBins = 100;
+    Xoshiro256 rng(2024);
+    std::vector<int> bins(kBins, 0);
+    int below = 0, above = 0;
+    for (int i = 0; i < kDraws; ++i) {
+        const double x = rng.gaussian();
+        const double phi = 0.5 * std::erfc(-x / std::sqrt(2.0));
+        bins[std::min(kBins - 1, static_cast<int>(phi * kBins))]++;
+        below += x < -3.5;
+        above += x > 3.5;
+    }
+    const double expected = static_cast<double>(kDraws) / kBins;
+    double chi2 = 0.0;
+    for (int count : bins)
+        chi2 += (count - expected) * (count - expected) / expected;
+    EXPECT_LT(chi2, 148.2); // The 0.999 quantile of chi-square(99).
+
+    // P(Z > 3.5) = 2.326e-4: 232.6 expected per side, sd 15.3.
+    const double tail = kDraws * 2.326291e-4;
+    const double sd = std::sqrt(tail);
+    EXPECT_NEAR(below, tail, 5 * sd);
+    EXPECT_NEAR(above, tail, 5 * sd);
+}
+
 TEST(Rng, EntropySeedsDistinct)
 {
     const auto a = entropySeed();
     const auto b = entropySeed();
     EXPECT_NE(a, b);
+}
+
+TEST(Rng, EntropySeedsDistinctAcrossThreads)
+{
+    constexpr int kThreads = 4;
+    constexpr int kSeeds = 10000;
+    std::vector<std::vector<std::uint64_t>> seeds(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&seeds, t] {
+            for (int i = 0; i < kSeeds; ++i)
+                seeds[static_cast<std::size_t>(t)].push_back(entropySeed());
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    std::set<std::uint64_t> distinct;
+    for (const auto &per_thread : seeds)
+        distinct.insert(per_thread.begin(), per_thread.end());
+    EXPECT_EQ(distinct.size(),
+              static_cast<std::size_t>(kThreads) * kSeeds);
 }
 
 TEST(Rng, DeterministicSeedScope)
