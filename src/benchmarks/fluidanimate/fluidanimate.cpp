@@ -1,7 +1,10 @@
 #include "benchmarks/fluidanimate/fluidanimate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "benchmarks/common/sdi_runner.hpp"
@@ -42,6 +45,34 @@ innerModel(const SphParams &params)
     model.syncCostPerThread *= 0.5 + 0.1 * surface / cells;
     return model;
 }
+
+constexpr unsigned kBlock = 8; ///< Pairs per branch-free radius test.
+
+const double kKernelNorm =
+    315.0 / (64.0 * M_PI * std::pow(kSmoothing, 9.0));
+
+/** A particle pair inside the smoothing radius (i < j). */
+struct NeighbourPair
+{
+    std::uint32_t i;
+    std::uint32_t j;
+    double r2;
+};
+
+/**
+ * advanceFrame's working set. Each thread reuses its own across
+ * frames, so a frame makes no allocation once the buffers have grown.
+ */
+struct FrameScratch
+{
+    std::vector<double> x, y, z; ///< Positions, one array per axis.
+    std::vector<double> row;     ///< r2(i, j) for the current row i.
+    std::vector<double> density;
+    std::vector<Vec3> force;
+    std::vector<NeighbourPair> neighbours;
+};
+
+thread_local FrameScratch t_scratch;
 
 /** The sqrt tradeoff: exact, two-Newton-step, or table lookup. */
 double
@@ -120,59 +151,97 @@ advanceFrame(Fluid &fluid, const TimeStep &step, const SphParams &params,
     const double h = kSmoothing;
     const double h2 = h * h;
     double ops = 0.0;
+    FrameScratch &s = t_scratch;
+    s.x.resize(n);
+    s.y.resize(n);
+    s.z.resize(n);
+    // Row i holds r2(i, j) for j >= i, computed as Vec3::norm2() does.
+    // The kBlock entries past n stay +inf, so a row's last block reads
+    // no pair.
+    s.row.assign(n + kBlock, std::numeric_limits<double>::infinity());
+    for (std::size_t i = 0; i < n; ++i) {
+        s.x[i] = fluid.positions[i].x;
+        s.y[i] = fluid.positions[i].y;
+        s.z[i] = fluid.positions[i].z;
+    }
 
     // Densities (gather over neighbours; O(n^2) at this scale, the
     // original uses a cell grid — the cost model accounts for that).
-    std::vector<double> density(n, 0.0);
+    // The scan tests kBlock pairs at a time without branching and then
+    // visits the pairs inside the radius in j order, so every sum
+    // keeps its order.
+    s.density.assign(n, 0.0);
+    s.neighbours.clear();
+    const double *x = s.x.data();
+    const double *y = s.y.data();
+    const double *z = s.z.data();
+    double *row = s.row.data();
     for (std::size_t i = 0; i < n; ++i) {
+        const double xi = x[i], yi = y[i], zi = z[i];
         for (std::size_t j = i; j < n; ++j) {
-            const double r2 = (fluid.positions[i] - fluid.positions[j])
-                                  .norm2();
-            if (r2 < h2) {
+            const double dx = xi - x[j];
+            const double dy = yi - y[j];
+            const double dz = zi - z[j];
+            row[j] = dx * dx + dy * dy + dz * dz;
+        }
+        // No j > i aliases density[i], so row i sums it in a register.
+        double density_i = s.density[i];
+        for (std::size_t base = i; base < n; base += kBlock) {
+            unsigned inside = 0;
+#pragma GCC unroll 8
+            for (unsigned k = 0; k < kBlock; ++k)
+                inside |= static_cast<unsigned>(row[base + k] < h2) << k;
+            for (; inside != 0; inside &= inside - 1) {
+                const std::size_t j = base + std::countr_zero(inside);
+                const double r2 = row[j];
                 const double w = (h2 - r2) * (h2 - r2) * (h2 - r2);
-                density[i] += w;
-                if (j != i)
-                    density[j] += w;
+                density_i += w;
+                if (j != i) {
+                    s.density[j] += w;
+                    s.neighbours.push_back(
+                        {static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(j), r2});
+                }
                 ops += 14.0;
             }
         }
+        s.density[i] = density_i;
     }
-    const double kernel_norm = 315.0 / (64.0 * M_PI * std::pow(h, 9.0));
     for (std::size_t i = 0; i < n; ++i) {
-        density[i] *= kernel_norm;
+        s.density[i] *= kKernelNorm;
         if (params.floatDensity)
-            density[i] = static_cast<float>(density[i]);
+            s.density[i] = static_cast<float>(s.density[i]);
     }
 
-    // Pressure + viscosity forces and integration.
-    std::vector<Vec3> force(n, Vec3{0.0, 0.0, 0.0});
-    for (std::size_t i = 0; i < n; ++i) {
-        double pi = kStiffness * (density[i] - kRestDensity);
+    // Pressure + viscosity forces over the neighbour pairs, in (i, j)
+    // order; coincident particles exert none.
+    s.force.assign(n, Vec3{0.0, 0.0, 0.0});
+    for (const NeighbourPair &pair : s.neighbours) {
+        if (pair.r2 <= 0.0)
+            continue;
+        const std::size_t i = pair.i;
+        const std::size_t j = pair.j;
+        double pi = kStiffness * (s.density[i] - kRestDensity);
         if (params.floatPressure)
             pi = static_cast<float>(pi);
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const Vec3 delta = fluid.positions[i] - fluid.positions[j];
-            const double r2 = delta.norm2();
-            if (r2 >= h2 || r2 <= 0.0)
-                continue;
-            const double r = sqrtVariant(r2, params.sqrtVariant);
-            double pj = kStiffness * (density[j] - kRestDensity);
-            const double shared =
-                (pi + pj) * 0.5 * (h - r) * (h - r) / std::max(r, 1e-9);
-            Vec3 f = delta * shared;
-            double visc = kViscosity * (h - r);
-            if (params.floatViscosity)
-                visc = static_cast<float>(visc);
-            f += (fluid.velocities[j] - fluid.velocities[i]) * visc;
-            force[i] += f;
-            force[j] += f * -1.0;
-            ops += 30.0;
-        }
+        const Vec3 delta = fluid.positions[i] - fluid.positions[j];
+        const double r = sqrtVariant(pair.r2, params.sqrtVariant);
+        double pj = kStiffness * (s.density[j] - kRestDensity);
+        const double shared =
+            (pi + pj) * 0.5 * (h - r) * (h - r) / std::max(r, 1e-9);
+        Vec3 f = delta * shared;
+        double visc = kViscosity * (h - r);
+        if (params.floatViscosity)
+            visc = static_cast<float>(visc);
+        f += (fluid.velocities[j] - fluid.velocities[i]) * visc;
+        s.force[i] += f;
+        s.force[j] += f * -1.0;
+        ops += 30.0;
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-        const double rho = std::max(density[i], 1.0);
-        Vec3 accel = force[i] * (1.0 / rho);
+        const double rho = std::max(s.density[i], 1.0);
+        Vec3 accel = s.force[i] * (1.0 / rho);
         accel.y += kGravity;
         // Race-reordering noise: independent runs differ slightly.
         accel += Vec3{rng.gaussian(0.0, kRaceNoise),

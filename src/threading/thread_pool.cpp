@@ -694,48 +694,4 @@ ThreadPool::stats() const
     return stats;
 }
 
-CountdownLatch::CountdownLatch(std::size_t count)
-    : _count(static_cast<std::ptrdiff_t>(count))
-{
-}
-
-void
-CountdownLatch::countDown()
-{
-    const std::ptrdiff_t previous =
-        _count.fetch_sub(1, std::memory_order_acq_rel);
-    if (previous <= 0)
-        support::panic("CountdownLatch counted below zero");
-    if (previous == 1) {
-        // Final count: publish the release to blocked waiters. The
-        // lock orders this notify after any waiter's predicate check.
-        std::lock_guard<std::mutex> lock(_mutex);
-        _cv.notify_all();
-    }
-}
-
-bool
-CountdownLatch::tryWait() const
-{
-    return _count.load(std::memory_order_acquire) <= 0;
-}
-
-void
-CountdownLatch::wait()
-{
-    if (tryWait())
-        return;
-    std::unique_lock<std::mutex> lock(_mutex);
-    _cv.wait(lock, [this] { return tryWait(); });
-}
-
-bool
-CountdownLatch::waitFor(std::chrono::nanoseconds timeout)
-{
-    if (tryWait())
-        return true;
-    std::unique_lock<std::mutex> lock(_mutex);
-    return _cv.wait_for(lock, timeout, [this] { return tryWait(); });
-}
-
 } // namespace stats::threading

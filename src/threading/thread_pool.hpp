@@ -48,7 +48,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -206,40 +205,6 @@ class ThreadPool
     // from the per-worker execution shards plus `_pending`, so the
     // submit fast path performs exactly one shared atomic RMW (the
     // pending count waitIdle depends on).
-};
-
-/**
- * A latch that releases waiters once its count reaches zero.
- *
- * The count is a single atomic: countDown() is lock-free until the
- * final decrement, which takes the mutex only to publish the wakeup
- * to blocked waiters. Counting below zero is an invariant violation
- * and panics.
- */
-class CountdownLatch
-{
-  public:
-    explicit CountdownLatch(std::size_t count);
-
-    /** Decrement; releases waiters at zero. Extra counts panic. */
-    void countDown();
-
-    /** True when the count already reached zero (never blocks). */
-    bool tryWait() const;
-
-    /** Block until the count reaches zero. */
-    void wait();
-
-    /**
-     * Block until the count reaches zero or `timeout` elapses.
-     * @return true when the latch was released, false on timeout.
-     */
-    bool waitFor(std::chrono::nanoseconds timeout);
-
-  private:
-    std::atomic<std::ptrdiff_t> _count;
-    std::mutex _mutex;
-    std::condition_variable _cv;
 };
 
 } // namespace stats::threading

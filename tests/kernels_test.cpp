@@ -8,7 +8,12 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +151,237 @@ TEST(FluidKernel, TinyNoiseDivergesSlowlyButSurely)
     const double d = a.distance(b);
     EXPECT_GT(d, 0.0);
     EXPECT_LT(d, 1e-4);
+}
+
+/**
+ * The two-pass frame advanceFrame replaced, kept verbatim as the
+ * reference: it computes every pair's distance once for density and
+ * again for forces. The one-pass kernel must reproduce it bit for bit.
+ */
+namespace two_pass {
+
+using namespace stats::benchmarks::fluidanimate;
+
+constexpr double kSmoothing = 0.14;
+constexpr double kRestDensity = 22.0;
+constexpr double kStiffness = 30.0;
+constexpr double kViscosity = 3.5;
+constexpr double kGravity = -9.8;
+constexpr double kRaceNoise = 1.0e-7;
+
+double
+sqrtVariant(double x, int variant)
+{
+    switch (variant) {
+      case 1: {
+        if (x <= 0.0)
+            return 0.0;
+        double guess = x > 1.0 ? x * 0.5 : 1.0;
+        guess = 0.5 * (guess + x / guess);
+        guess = 0.5 * (guess + x / guess);
+        return guess;
+      }
+      case 2: {
+        if (x <= 0.0)
+            return 0.0;
+        static const double table[] = {0.0,  0.5,  0.707, 0.866,
+                                       1.0,  1.118, 1.224, 1.323,
+                                       1.414, 1.5,  1.581, 1.658,
+                                       1.732, 1.803, 1.871, 1.936, 2.0};
+        const double scaled = std::min(x, 3.999) * 4.0;
+        const int idx = static_cast<int>(scaled);
+        const double frac = scaled - idx;
+        return table[idx] * (1.0 - frac) + table[idx + 1] * frac;
+      }
+      default:
+        return std::sqrt(x);
+    }
+}
+
+double
+advanceFrame(Fluid &fluid, const TimeStep &step, const SphParams &params,
+             support::Xoshiro256 &rng)
+{
+    const std::size_t n = fluid.positions.size();
+    const double h = kSmoothing;
+    const double h2 = h * h;
+    double ops = 0.0;
+
+    std::vector<double> density(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i; j < n; ++j) {
+            const double r2 = (fluid.positions[i] - fluid.positions[j])
+                                  .norm2();
+            if (r2 < h2) {
+                const double w = (h2 - r2) * (h2 - r2) * (h2 - r2);
+                density[i] += w;
+                if (j != i)
+                    density[j] += w;
+                ops += 14.0;
+            }
+        }
+    }
+    const double kernel_norm = 315.0 / (64.0 * M_PI * std::pow(h, 9.0));
+    for (std::size_t i = 0; i < n; ++i) {
+        density[i] *= kernel_norm;
+        if (params.floatDensity)
+            density[i] = static_cast<float>(density[i]);
+    }
+
+    std::vector<Vec3> force(n, Vec3{0.0, 0.0, 0.0});
+    for (std::size_t i = 0; i < n; ++i) {
+        double pi = kStiffness * (density[i] - kRestDensity);
+        if (params.floatPressure)
+            pi = static_cast<float>(pi);
+        for (std::size_t j = i + 1; j < n; ++j) {
+            const Vec3 delta = fluid.positions[i] - fluid.positions[j];
+            const double r2 = delta.norm2();
+            if (r2 >= h2 || r2 <= 0.0)
+                continue;
+            const double r = sqrtVariant(r2, params.sqrtVariant);
+            double pj = kStiffness * (density[j] - kRestDensity);
+            const double shared =
+                (pi + pj) * 0.5 * (h - r) * (h - r) / std::max(r, 1e-9);
+            Vec3 f = delta * shared;
+            double visc = kViscosity * (h - r);
+            if (params.floatViscosity)
+                visc = static_cast<float>(visc);
+            f += (fluid.velocities[j] - fluid.velocities[i]) * visc;
+            force[i] += f;
+            force[j] += f * -1.0;
+            ops += 30.0;
+        }
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const double rho = std::max(density[i], 1.0);
+        Vec3 accel = force[i] * (1.0 / rho);
+        accel.y += kGravity;
+        accel += Vec3{rng.gaussian(0.0, kRaceNoise),
+                      rng.gaussian(0.0, kRaceNoise),
+                      rng.gaussian(0.0, kRaceNoise)};
+        fluid.velocities[i] += accel * step.dt;
+        fluid.positions[i] += fluid.velocities[i] * step.dt;
+
+        auto clamp_axis = [](double &pos, double &vel) {
+            if (pos < 0.0) {
+                pos = 0.0;
+                vel = -vel * 0.4;
+            } else if (pos > 1.0) {
+                pos = 1.0;
+                vel = -vel * 0.4;
+            }
+        };
+        clamp_axis(fluid.positions[i].x, fluid.velocities[i].x);
+        clamp_axis(fluid.positions[i].y, fluid.velocities[i].y);
+        clamp_axis(fluid.positions[i].z, fluid.velocities[i].z);
+        ops += 20.0;
+    }
+
+    if (params.sqrtVariant == 1)
+        ops *= 0.93;
+    else if (params.sqrtVariant == 2)
+        ops *= 0.85;
+    return ops;
+}
+
+} // namespace two_pass
+
+/** Byte-for-byte equality of two fluids' positions and velocities. */
+bool
+sameBits(const fluidanimate::Fluid &a, const fluidanimate::Fluid &b)
+{
+    const auto same = [](const std::vector<Vec3> &u,
+                         const std::vector<Vec3> &v) {
+        return u.size() == v.size() &&
+               std::memcmp(u.data(), v.data(), u.size() * sizeof(Vec3)) ==
+                   0;
+    };
+    return same(a.positions, b.positions) &&
+           same(a.velocities, b.velocities);
+}
+
+TEST(FluidKernel, MatchesTwoPassReference)
+{
+    using namespace stats::benchmarks::fluidanimate;
+    std::vector<SphParams> variants(6);
+    variants[1].sqrtVariant = 1;
+    variants[2].sqrtVariant = 2;
+    variants[3].floatDensity = true;
+    variants[4].floatPressure = true;
+    variants[5].floatViscosity = true;
+
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "variant " << v << ", workload seed " << seed);
+            const auto workload =
+                makeWorkload(WorkloadKind::Representative, seed);
+            ASSERT_EQ(workload.steps.size(), 32u);
+            Fluid fast = workload.initial;
+            Fluid reference = workload.initial;
+            support::Xoshiro256 fast_rng(41), reference_rng(41);
+            for (const auto &step : workload.steps) {
+                const double ops =
+                    advanceFrame(fast, step, variants[v], fast_rng);
+                const double reference_ops = two_pass::advanceFrame(
+                    reference, step, variants[v], reference_rng);
+                ASSERT_EQ(ops, reference_ops) << "frame " << step.id;
+                ASSERT_TRUE(sameBits(fast, reference))
+                    << "frame " << step.id;
+            }
+        }
+    }
+}
+
+TEST(FluidKernel, ConcurrentFramesMatchSerial)
+{
+    // advanceFrame keeps its buffers per thread. Four threads run
+    // fluids of different sizes at once; each must end exactly where
+    // the same run ends when the runs go one after another.
+    using namespace stats::benchmarks::fluidanimate;
+    constexpr int kThreads = 4;
+    const auto run = [](int t) {
+        const auto workload = makeWorkload(
+            WorkloadKind::Representative, static_cast<std::uint64_t>(t + 1));
+        Fluid fluid = workload.initial;
+        const std::size_t n =
+            static_cast<std::size_t>(kParticles - 16 * t);
+        fluid.positions.resize(n);
+        fluid.velocities.resize(n);
+        SphParams params;
+        params.sqrtVariant = t % 3;
+        support::Xoshiro256 rng(100 + static_cast<std::uint64_t>(t));
+        double ops = 0.0;
+        for (const auto &step : workload.steps)
+            ops += advanceFrame(fluid, step, params, rng);
+        return std::make_pair(fluid, ops);
+    };
+
+    std::vector<std::pair<Fluid, double>> serial;
+    for (int t = 0; t < kThreads; ++t)
+        serial.push_back(run(t));
+
+    std::vector<std::pair<Fluid, double>> concurrent(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            concurrent[static_cast<std::size_t>(t)] = run(t);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+        const auto &a = serial[static_cast<std::size_t>(t)];
+        const auto &b = concurrent[static_cast<std::size_t>(t)];
+        EXPECT_EQ(a.second, b.second) << "thread " << t;
+        EXPECT_TRUE(sameBits(a.first, b.first)) << "thread " << t;
+    }
 }
 
 TEST(SwaptionsKernel, PriceConvergesWithTrials)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the thread pool and latch.
+ * Unit tests for the thread pool.
  */
 
 #include <atomic>
@@ -175,69 +175,6 @@ TEST(ThreadPool, StatsCountSubmittedAndExecuted)
     EXPECT_EQ(stats.submitted, 25u);
     EXPECT_EQ(stats.executed, 25u);
     EXPECT_EQ(stats.cancelled, 0u);
-}
-
-TEST(CountdownLatch, ReleasesAtZero)
-{
-    CountdownLatch latch(3);
-    std::atomic<bool> released{false};
-    std::thread waiter([&] {
-        latch.wait();
-        released.store(true);
-    });
-    latch.countDown();
-    latch.countDown();
-    EXPECT_FALSE(released.load());
-    latch.countDown();
-    waiter.join();
-    EXPECT_TRUE(released.load());
-}
-
-TEST(CountdownLatch, ZeroCountReleasesImmediately)
-{
-    CountdownLatch latch(0);
-    latch.wait();
-    SUCCEED();
-}
-
-TEST(CountdownLatch, TryWaitNeverBlocks)
-{
-    CountdownLatch latch(1);
-    EXPECT_FALSE(latch.tryWait());
-    latch.countDown();
-    EXPECT_TRUE(latch.tryWait());
-}
-
-TEST(CountdownLatch, WaitForTimesOutThenReleases)
-{
-    CountdownLatch latch(1);
-    EXPECT_FALSE(latch.waitFor(std::chrono::milliseconds(1)));
-    latch.countDown();
-    EXPECT_TRUE(latch.waitFor(std::chrono::milliseconds(1)));
-}
-
-TEST(CountdownLatch, FinalCountWakesEveryWaiter)
-{
-    CountdownLatch latch(1);
-    std::atomic<int> released{0};
-    std::vector<std::thread> waiters;
-    for (int i = 0; i < 4; ++i) {
-        waiters.emplace_back([&] {
-            latch.wait();
-            released.fetch_add(1);
-        });
-    }
-    latch.countDown();
-    for (auto &waiter : waiters)
-        waiter.join();
-    EXPECT_EQ(released.load(), 4);
-}
-
-TEST(CountdownLatchDeathTest, CountingBelowZeroPanics)
-{
-    CountdownLatch latch(1);
-    latch.countDown();
-    EXPECT_DEATH(latch.countDown(), "CountdownLatch");
 }
 
 } // namespace
