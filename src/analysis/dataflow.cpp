@@ -212,14 +212,4 @@ Liveness::liveOut(int block, const std::string &name) const
     return i < _names.size() && _facts.at(std::size_t(block)).out[i];
 }
 
-std::size_t
-Liveness::liveInCount(int block) const
-{
-    const BitVector &in = _facts.at(std::size_t(block)).in;
-    std::size_t count = 0;
-    for (bool bit : in)
-        count += bit ? 1 : 0;
-    return count;
-}
-
 } // namespace stats::analysis

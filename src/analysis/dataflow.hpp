@@ -90,9 +90,6 @@ class Liveness
     bool liveIn(int block, const std::string &name) const;
     bool liveOut(int block, const std::string &name) const;
 
-    /** Number of names live into `block` (register-pressure proxy). */
-    std::size_t liveInCount(int block) const;
-
   private:
     std::size_t indexOf(const std::string &name) const;
 

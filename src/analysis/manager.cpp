@@ -29,15 +29,6 @@ AnalysisManager::cfg(const std::string &fn)
     return *entry.cfg;
 }
 
-const DomTree &
-AnalysisManager::dominators(const std::string &fn)
-{
-    FunctionAnalyses &entry = entryFor(fn);
-    if (!entry.domTree)
-        entry.domTree = std::make_unique<DomTree>(cfg(fn));
-    return *entry.domTree;
-}
-
 const DefUse &
 AnalysisManager::defUse(const std::string &fn)
 {

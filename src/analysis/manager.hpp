@@ -1,7 +1,7 @@
 /**
  * @file
  * AnalysisManager: lazily computes and caches the per-function
- * analyses (Cfg, dominators, def-use, reaching definitions, liveness)
+ * analyses (Cfg, def-use, reaching definitions, liveness)
  * and the module-wide call graph, so semantic passes can share
  * results instead of recomputing them. Mutating a function requires
  * invalidateFunction() (or invalidateAll() after structural changes
@@ -17,7 +17,6 @@
 #include "analysis/cfg.hpp"
 #include "analysis/dataflow.hpp"
 #include "analysis/def_use.hpp"
-#include "analysis/dominators.hpp"
 #include "ir/call_graph.hpp"
 #include "ir/ir.hpp"
 
@@ -34,7 +33,6 @@ class AnalysisManager
 
     /** Per-function analyses; computed on first request, then cached. */
     const Cfg &cfg(const std::string &fn);
-    const DomTree &dominators(const std::string &fn);
     const DefUse &defUse(const std::string &fn);
     const ReachingDefs &reachingDefs(const std::string &fn);
     const Liveness &liveness(const std::string &fn);
@@ -55,7 +53,6 @@ class AnalysisManager
     struct FunctionAnalyses
     {
         std::unique_ptr<Cfg> cfg;
-        std::unique_ptr<DomTree> domTree;
         std::unique_ptr<DefUse> defUse;
         std::unique_ptr<ReachingDefs> reachingDefs;
         std::unique_ptr<Liveness> liveness;

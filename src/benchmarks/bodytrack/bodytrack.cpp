@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "benchmarks/common/sdi_runner.hpp"
 #include "platform/cost_model.hpp"
@@ -258,95 +257,57 @@ BodytrackBenchmark::BodytrackBenchmark()
 tradeoff::StateSpace
 BodytrackBenchmark::stateSpace(int threads) const
 {
-    tradeoff::StateSpace space;
-    addRuntimeDimensions(space, threads);
-    for (const auto &name : _registry.auxNames()) {
-        const auto &t = _registry.get(name);
-        space.add(name, t.valueCount(), t.options().getDefaultIndex());
-    }
-    return space;
+    return stateSpaceFor(_registry, threads);
 }
 
+namespace {
+
 FilterParams
-BodytrackBenchmark::paramsFrom(const tradeoff::Assignment &assignment,
-                               bool auxiliary) const
+paramsFrom(const tradeoff::Registry &registry,
+           const tradeoff::Assignment &assignment, bool auxiliary)
 {
     const std::string prefix = auxiliary ? tradeoff::kAuxPrefix : "";
     FilterParams params;
     params.annealingLayers = static_cast<int>(
-        _registry.intValue(prefix + "numAnnealingLayers", assignment));
+        registry.intValue(prefix + "numAnnealingLayers", assignment));
     params.particles = static_cast<int>(
-        _registry.intValue(prefix + "numParticles", assignment));
+        registry.intValue(prefix + "numParticles", assignment));
     params.singlePrecision =
-        _registry.nameValue(prefix + "precision", assignment) == "float";
+        registry.nameValue(prefix + "precision", assignment) == "float";
     return params;
 }
 
-RunResult
-BodytrackBenchmark::run(const RunRequest &request)
+using Program = SdiProgram<Frame, BodyModel, Positions>;
+
+Program
+buildProgram(const Workload &workload, const FilterParams &original,
+             const FilterParams &aux, const sim::MachineConfig &machine)
 {
-    const Workload workload =
-        makeWorkload(request.workload, request.workloadSeed);
-    const tradeoff::StateSpace space = stateSpace(request.threads);
-    const tradeoff::Configuration config =
-        request.config.empty() ? space.defaultConfiguration()
-                               : request.config;
-    const tradeoff::Assignment assignment =
-        assignmentFor(space, config, _registry);
-
-    // Original code runs with default tradeoffs (paper section 3.4:
-    // the middle-end freezes non-auxiliary tradeoffs to defaults);
-    // auxiliary code uses the configuration's cloned-tradeoff values.
-    const FilterParams original_params =
-        paramsFrom(_registry.defaults(), false);
-    const FilterParams aux_params = paramsFrom(assignment, true);
-
-    std::optional<support::ScopedDeterministicSeeds> pinned;
-    if (request.runSeed != 0)
-        pinned.emplace(request.runSeed);
-
-    SdiProgram<Frame, BodyModel, Positions> program;
+    Program program;
     program.inputs = workload.frames;
-    program.initialState = makeInitialModel(workload, original_params);
+    program.initialState = makeInitialModel(workload, original);
 
-    const sim::MachineConfig machine = request.machine;
     const auto make_compute = [machine](FilterParams params) {
         return [machine, params](const Frame &frame, BodyModel &model,
-                        const sdi::ComputeContext &ctx)
-                   -> SdiProgram<Frame, BodyModel, Positions>::
-                       Engine::Invocation {
+                                 const sdi::ComputeContext &ctx)
+                   -> Program::Engine::Invocation {
             support::Xoshiro256 rng(support::entropySeed());
             const double ops = updateModel(model, frame, params, rng);
             auto output = std::make_unique<Positions>();
             output->estimate = model.estimate();
-            const double eff = platform::effectiveParallelism(
-                machine, ctx.innerThreads, innerModel().memBound);
             return {std::move(output),
-                    innerModel().work(ops * kOpSeconds,
-                                      ctx.innerThreads, eff)};
+                    innerModel().workOn(machine, ops * kOpSeconds,
+                                        ctx.innerThreads)};
         };
     };
-    program.compute = make_compute(original_params);
-    program.auxiliary = make_compute(aux_params);
+    program.compute = make_compute(original);
+    program.auxiliary = make_compute(aux);
 
     // Paper's comparison rule with the developer-calibrated
     // single-original tolerance.
-    program.matcher = [](const BodyModel &spec,
-                         const std::vector<BodyModel> &originals) -> int {
-        for (std::size_t a = 0; a < originals.size(); ++a) {
-            const double d = spec.distance(originals[a]);
-            if (originals.size() == 1) {
-                if (d <= kMatchTolerance)
-                    return 0;
-                continue;
-            }
-            for (std::size_t b = 0; b < originals.size(); ++b) {
-                if (b != a && d <= originals[b].distance(originals[a]))
-                    return static_cast<int>(a);
-            }
-        }
-        return -1;
-    };
+    program.matcher = sdi::distanceBracketMatcher<BodyModel>(
+        [](const BodyModel &a, const BodyModel &b) { return a.distance(b); },
+        BodytrackBenchmark::kMatchTolerance);
 
     program.appendSignature = [](const Positions &out,
                                  std::vector<double> &signature) {
@@ -356,23 +317,24 @@ BodytrackBenchmark::run(const RunRequest &request)
             signature.push_back(v.z);
         }
     };
+    return program;
+}
 
-    const sdi::SpecConfig spec =
-        specConfigFor(space, config, request.mode, request.threads);
-    sdi::SpecConfig policy_spec = spec;
-    applyPolicy(request.policy, program, policy_spec);
-    return runSdiProgram(program, policy_spec, request);
+} // namespace
+
+RunResult
+BodytrackBenchmark::run(const RunRequest &request)
+{
+    return runSdiBenchmark(
+        request, _registry,
+        makeWorkload(request.workload, request.workloadSeed),
+        paramsFrom, buildProgram);
 }
 
 std::vector<double>
-BodytrackBenchmark::oracleSignature(WorkloadKind kind,
-                                    std::uint64_t workload_seed)
+BodytrackBenchmark::computeOracle(WorkloadKind kind,
+                                  std::uint64_t workload_seed) const
 {
-    const auto key = std::make_pair(static_cast<int>(kind), workload_seed);
-    auto it = _oracleCache.find(key);
-    if (it != _oracleCache.end())
-        return it->second;
-
     // Oracle: tradeoffs maximized for quality (paper section 4.2),
     // averaged over repetitions to suppress its own nondeterminism.
     const Workload workload = makeWorkload(kind, workload_seed);
@@ -392,9 +354,7 @@ BodytrackBenchmark::oracleSignature(WorkloadKind kind,
         }
         runs.push_back(std::move(signature));
     }
-    auto oracle = averageSignatures(runs);
-    _oracleCache.emplace(key, oracle);
-    return oracle;
+    return averageSignatures(runs);
 }
 
 double

@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "benchmarks/common/benchmark.hpp"
@@ -117,9 +116,6 @@ class BodytrackBenchmark : public Benchmark
     tradeoff::StateSpace stateSpace(int threads) const override;
     int tradeoffCount() const override { return 5; }
     RunResult run(const RunRequest &request) override;
-    std::vector<double>
-    oracleSignature(WorkloadKind kind,
-                    std::uint64_t workload_seed) override;
     double quality(const std::vector<double> &signature,
                    const std::vector<double> &oracle) const override;
     bool supportsQualityIteration() const override { return true; }
@@ -127,13 +123,13 @@ class BodytrackBenchmark : public Benchmark
     /** Single-original acceptance tolerance of the state comparison. */
     static constexpr double kMatchTolerance = 5.0;
 
-  private:
-    FilterParams paramsFrom(const tradeoff::Assignment &assignment,
-                            bool auxiliary) const;
+  protected:
+    std::vector<double>
+    computeOracle(WorkloadKind kind,
+                  std::uint64_t workload_seed) const override;
 
+  private:
     tradeoff::Registry _registry;
-    std::map<std::pair<int, std::uint64_t>, std::vector<double>>
-        _oracleCache;
 };
 
 } // namespace stats::benchmarks::bodytrack

@@ -18,6 +18,17 @@ modeName(Mode mode)
 }
 
 std::vector<double>
+Benchmark::oracleSignature(WorkloadKind kind, std::uint64_t workload_seed)
+{
+    const auto key = std::make_pair(kind, workload_seed);
+    auto it = _oracleCache.find(key);
+    if (it == _oracleCache.end())
+        it = _oracleCache.emplace(key, computeOracle(kind, workload_seed))
+                 .first;
+    return it->second;
+}
+
+std::vector<double>
 Benchmark::averageSignatures(
     const std::vector<std::vector<double>> &signatures)
 {
@@ -63,9 +74,10 @@ rollbackValues()
     return values;
 }
 
-void
-addRuntimeDimensions(tradeoff::StateSpace &space, int threads)
+tradeoff::StateSpace
+stateSpaceFor(const tradeoff::Registry &registry, int threads)
 {
+    tradeoff::StateSpace space;
     space.add(dims::kUseAux, 2, /* default: on */ 1);
     space.add(dims::kGroupSize,
               static_cast<std::int64_t>(groupSizeValues().size()), 1);
@@ -77,6 +89,11 @@ addRuntimeDimensions(tradeoff::StateSpace &space, int threads)
               static_cast<std::int64_t>(rollbackValues().size()), 0);
     // Values 1..threads; default: one inner thread (all to STATS).
     space.add(dims::kInnerThreads, std::max(1, threads), 0);
+    for (const auto &name : registry.auxNames()) {
+        const auto &t = registry.get(name);
+        space.add(name, t.valueCount(), t.options().getDefaultIndex());
+    }
+    return space;
 }
 
 sdi::SpecConfig

@@ -14,11 +14,15 @@
  *    non-representative variants of section 4.6),
  *  - its domain quality metric, evaluated against an oracle produced
  *    with quality-maximizing tradeoffs.
+ *
+ * Every benchmark's run() goes through one path (`runSdiBenchmark`,
+ * sdi_runner.hpp); a benchmark only declares its program.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -139,9 +143,10 @@ class Benchmark
      * Oracle signature for a workload: produced with tradeoffs set to
      * maximize output quality (paper section 4.2, "Output quality"),
      * averaged over repetitions to suppress its own nondeterminism.
+     * Computed once per workload, then memoized.
      */
-    virtual std::vector<double>
-    oracleSignature(WorkloadKind kind, std::uint64_t workload_seed) = 0;
+    std::vector<double> oracleSignature(WorkloadKind kind,
+                                        std::uint64_t workload_seed);
 
     /**
      * The benchmark's domain metric: distance of a run's output to
@@ -160,6 +165,15 @@ class Benchmark
     /** Average several run signatures element-wise. */
     static std::vector<double>
     averageSignatures(const std::vector<std::vector<double>> &signatures);
+
+  protected:
+    /** Compute a workload's oracle signature (see oracleSignature). */
+    virtual std::vector<double>
+    computeOracle(WorkloadKind kind, std::uint64_t workload_seed) const = 0;
+
+  private:
+    std::map<std::pair<WorkloadKind, std::uint64_t>, std::vector<double>>
+        _oracleCache;
 };
 
 /** Construct a benchmark by name; panics on unknown names. */
@@ -189,11 +203,14 @@ const std::vector<int> &reexecValues();
 const std::vector<int> &rollbackValues();
 
 /**
- * Append the shared runtime dimensions to a state space
- * (paper section 3.3: every benchmark "naturally has" the two thread
- * counts plus the per-dependence knobs).
+ * State space of a benchmark with `threads` hardware threads: the
+ * shared runtime dimensions (paper section 3.3: every benchmark
+ * "naturally has" the two thread counts plus the per-dependence
+ * knobs), then one dimension per cloned auxiliary tradeoff of the
+ * registry.
  */
-void addRuntimeDimensions(tradeoff::StateSpace &space, int threads);
+tradeoff::StateSpace stateSpaceFor(const tradeoff::Registry &registry,
+                                   int threads);
 
 /**
  * Derive the engine configuration from a configuration + mode:

@@ -1,13 +1,17 @@
 /**
  * @file
- * Glue that runs one SDI program description on the simulated
- * platform and collects the measurements the evaluation needs.
+ * The one run path of the SDI benchmarks: a benchmark declares its
+ * program (paper section 3.1: inputs, state, computeOutput, its
+ * auxiliary clone and the state comparison); this glue binds it to a
+ * request, runs it on the simulated platform and collects the
+ * measurements the evaluation needs.
  */
 
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "benchmarks/common/benchmark.hpp"
@@ -15,6 +19,7 @@
 #include "platform/energy_model.hpp"
 #include "sdi/matchers.hpp"
 #include "sdi/spec_engine.hpp"
+#include "support/rng.hpp"
 
 namespace stats::benchmarks {
 
@@ -69,18 +74,52 @@ applyPolicy(SpeculationPolicy policy,
 }
 
 /**
- * Execute a program with one engine configuration on the request's
- * simulated machine and threads, reporting to the request's replay
- * session. The real kernels run on the host; time and energy come
- * from the platform model.
+ * Run one request of an SDI benchmark.
+ *
+ * Resolves the request's configuration (empty: the default one),
+ * binds the original code to the registry's defaults (paper
+ * section 3.4: the middle-end freezes non-auxiliary tradeoffs) and
+ * the auxiliary code to the configuration's cloned tradeoffs, builds
+ * the program, applies the request's speculation policy and runs the
+ * program on the request's simulated machine and threads, reporting
+ * to the request's replay session. The real kernels run on the host;
+ * time and energy come from the platform model. A nonzero
+ * `request.runSeed` pins every PRVG from program construction to the
+ * end of the engine run.
+ *
+ * `params_from(registry, assignment, auxiliary)` binds the
+ * benchmark's kernel parameters. `build(workload, original,
+ * auxiliary, machine)` returns its SdiProgram and may keep references
+ * to `workload`, which outlives the run.
  */
-template <class Input, class State, class Output>
+template <class Workload, class ParamsFrom, class Build>
 RunResult
-runSdiProgram(const SdiProgram<Input, State, Output> &program,
-              const sdi::SpecConfig &spec, const RunRequest &request)
+runSdiBenchmark(const RunRequest &request,
+                const tradeoff::Registry &registry,
+                const Workload &workload, ParamsFrom params_from,
+                Build build)
 {
+    const tradeoff::StateSpace space =
+        stateSpaceFor(registry, request.threads);
+    const tradeoff::Configuration config =
+        request.config.empty() ? space.defaultConfiguration()
+                               : request.config;
+    const auto original =
+        params_from(registry, registry.defaults(), false);
+    const auto auxiliary = params_from(
+        registry, assignmentFor(space, config, registry), true);
+
+    std::optional<support::ScopedDeterministicSeeds> pinned;
+    if (request.runSeed != 0)
+        pinned.emplace(request.runSeed);
+
+    auto program = build(workload, original, auxiliary, request.machine);
+    sdi::SpecConfig spec =
+        specConfigFor(space, config, request.mode, request.threads);
+    applyPolicy(request.policy, program, spec);
+
     exec::SimExecutor executor(request.machine, request.threads);
-    typename SdiProgram<Input, State, Output>::Engine engine(
+    typename decltype(program)::Engine engine(
         executor, program.inputs, program.initialState, program.compute,
         program.auxiliary, program.matcher, spec, *request.session);
     engine.start();
@@ -91,10 +130,8 @@ runSdiProgram(const SdiProgram<Input, State, Output> &program,
     result.virtualSeconds = activity.makespan;
     result.energyJoules = platform::EnergyModel{}.energyJoules(activity);
     result.engineStats = engine.stats();
-    if (program.appendSignature) {
-        for (const auto &output : engine.outputs())
-            program.appendSignature(*output, result.signature);
-    }
+    for (const auto &output : engine.outputs())
+        program.appendSignature(*output, result.signature);
     return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "benchmarks/common/sdi_runner.hpp"
 #include "platform/cost_model.hpp"
@@ -243,92 +242,57 @@ FacedetBenchmark::FacedetBenchmark()
 tradeoff::StateSpace
 FacedetBenchmark::stateSpace(int threads) const
 {
-    tradeoff::StateSpace space;
-    addRuntimeDimensions(space, threads);
-    for (const auto &name : _registry.auxNames()) {
-        const auto &t = _registry.get(name);
-        space.add(name, t.valueCount(), t.options().getDefaultIndex());
-    }
-    return space;
+    return stateSpaceFor(_registry, threads);
 }
 
+namespace {
+
 FilterParams
-FacedetBenchmark::paramsFrom(const tradeoff::Assignment &assignment,
-                             bool auxiliary) const
+paramsFrom(const tradeoff::Registry &registry,
+           const tradeoff::Assignment &assignment, bool auxiliary)
 {
     const std::string prefix = auxiliary ? tradeoff::kAuxPrefix : "";
     FilterParams params;
     params.particles = static_cast<int>(
-        _registry.intValue(prefix + "numParticles", assignment));
+        registry.intValue(prefix + "numParticles", assignment));
     params.noiseRounds = static_cast<int>(
-        _registry.intValue(prefix + "noiseRounds", assignment));
+        registry.intValue(prefix + "noiseRounds", assignment));
     params.noiseSigma =
-        _registry.realValue(prefix + "noiseSigma", assignment);
+        registry.realValue(prefix + "noiseSigma", assignment);
     params.singlePrecision =
-        _registry.nameValue(prefix + "precision", assignment) == "float";
+        registry.nameValue(prefix + "precision", assignment) == "float";
     return params;
 }
 
-RunResult
-FacedetBenchmark::run(const RunRequest &request)
+using Program = SdiProgram<Frame, FaceModel, Detection>;
+
+Program
+buildProgram(const Workload &workload, const FilterParams &original,
+             const FilterParams &aux, const sim::MachineConfig &machine)
 {
-    const Workload workload =
-        makeWorkload(request.workload, request.workloadSeed);
-    const tradeoff::StateSpace space = stateSpace(request.threads);
-    const tradeoff::Configuration config =
-        request.config.empty() ? space.defaultConfiguration()
-                               : request.config;
-    const tradeoff::Assignment assignment =
-        assignmentFor(space, config, _registry);
-
-    const FilterParams original_params =
-        paramsFrom(_registry.defaults(), false);
-    const FilterParams aux_params = paramsFrom(assignment, true);
-
-    std::optional<support::ScopedDeterministicSeeds> pinned;
-    if (request.runSeed != 0)
-        pinned.emplace(request.runSeed);
-
-    SdiProgram<Frame, FaceModel, Detection> program;
+    Program program;
     program.inputs = workload.frames;
-    program.initialState = makeInitialModel(workload, original_params);
+    program.initialState = makeInitialModel(workload, original);
 
-    const sim::MachineConfig machine = request.machine;
     const auto make_compute = [machine](FilterParams params) {
         return [machine, params](const Frame &frame, FaceModel &model,
-                        const sdi::ComputeContext &ctx)
-                   -> SdiProgram<Frame, FaceModel, Detection>::
-                       Engine::Invocation {
+                                 const sdi::ComputeContext &ctx)
+                   -> Program::Engine::Invocation {
             support::Xoshiro256 rng(support::entropySeed());
             const double ops = updateModel(model, frame, params, rng);
             auto output = std::make_unique<Detection>();
             output->box = model.estimate();
-            const double eff = platform::effectiveParallelism(
-                machine, ctx.innerThreads, innerModel().memBound);
             return {std::move(output),
-                    innerModel().work(ops * kOpSeconds,
-                                      ctx.innerThreads, eff)};
+                    innerModel().workOn(machine, ops * kOpSeconds,
+                                        ctx.innerThreads)};
         };
     };
-    program.compute = make_compute(original_params);
-    program.auxiliary = make_compute(aux_params);
+    program.compute = make_compute(original);
+    program.auxiliary = make_compute(aux);
 
-    program.matcher = [](const FaceModel &spec,
-                         const std::vector<FaceModel> &originals) -> int {
-        for (std::size_t a = 0; a < originals.size(); ++a) {
-            const double d = spec.distance(originals[a]);
-            if (originals.size() == 1) {
-                if (d <= kMatchTolerance)
-                    return 0;
-                continue;
-            }
-            for (std::size_t b = 0; b < originals.size(); ++b) {
-                if (b != a && d <= originals[b].distance(originals[a]))
-                    return static_cast<int>(a);
-            }
-        }
-        return -1;
-    };
+    program.matcher = sdi::distanceBracketMatcher<FaceModel>(
+        [](const FaceModel &a, const FaceModel &b) { return a.distance(b); },
+        FacedetBenchmark::kMatchTolerance);
 
     program.appendSignature = [](const Detection &out,
                                  std::vector<double> &signature) {
@@ -337,23 +301,24 @@ FacedetBenchmark::run(const RunRequest &request)
             signature.push_back(corner.y);
         }
     };
+    return program;
+}
 
-    const sdi::SpecConfig spec =
-        specConfigFor(space, config, request.mode, request.threads);
-    sdi::SpecConfig policy_spec = spec;
-    applyPolicy(request.policy, program, policy_spec);
-    return runSdiProgram(program, policy_spec, request);
+} // namespace
+
+RunResult
+FacedetBenchmark::run(const RunRequest &request)
+{
+    return runSdiBenchmark(
+        request, _registry,
+        makeWorkload(request.workload, request.workloadSeed),
+        paramsFrom, buildProgram);
 }
 
 std::vector<double>
-FacedetBenchmark::oracleSignature(WorkloadKind kind,
-                                  std::uint64_t workload_seed)
+FacedetBenchmark::computeOracle(WorkloadKind kind,
+                                std::uint64_t workload_seed) const
 {
-    const auto key = std::make_pair(static_cast<int>(kind), workload_seed);
-    auto it = _oracleCache.find(key);
-    if (it != _oracleCache.end())
-        return it->second;
-
     const Workload workload = makeWorkload(kind, workload_seed);
     const FilterParams params{80, 8, 6.0, false};
     std::vector<std::vector<double>> runs;
@@ -370,9 +335,7 @@ FacedetBenchmark::oracleSignature(WorkloadKind kind,
         }
         runs.push_back(std::move(signature));
     }
-    auto oracle = averageSignatures(runs);
-    _oracleCache.emplace(key, oracle);
-    return oracle;
+    return averageSignatures(runs);
 }
 
 double

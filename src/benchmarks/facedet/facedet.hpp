@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "benchmarks/common/benchmark.hpp"
@@ -112,9 +111,6 @@ class FacedetBenchmark : public Benchmark
     tradeoff::StateSpace stateSpace(int threads) const override;
     int tradeoffCount() const override { return 6; }
     RunResult run(const RunRequest &request) override;
-    std::vector<double>
-    oracleSignature(WorkloadKind kind,
-                    std::uint64_t workload_seed) override;
     double quality(const std::vector<double> &signature,
                    const std::vector<double> &oracle) const override;
     bool supportsQualityIteration() const override { return true; }
@@ -122,13 +118,13 @@ class FacedetBenchmark : public Benchmark
     /** Single-original acceptance tolerance, in pixels. */
     static constexpr double kMatchTolerance = 12.0;
 
-  private:
-    FilterParams paramsFrom(const tradeoff::Assignment &assignment,
-                            bool auxiliary) const;
+  protected:
+    std::vector<double>
+    computeOracle(WorkloadKind kind,
+                  std::uint64_t workload_seed) const override;
 
+  private:
     tradeoff::Registry _registry;
-    std::map<std::pair<int, std::uint64_t>, std::vector<double>>
-        _oracleCache;
 };
 
 } // namespace stats::benchmarks::facedet

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 
 #include "benchmarks/common/sdi_runner.hpp"
 #include "platform/cost_model.hpp"
@@ -310,110 +309,75 @@ FluidanimateBenchmark::FluidanimateBenchmark()
 tradeoff::StateSpace
 FluidanimateBenchmark::stateSpace(int threads) const
 {
-    tradeoff::StateSpace space;
-    addRuntimeDimensions(space, threads);
-    for (const auto &name : _registry.auxNames()) {
-        const auto &t = _registry.get(name);
-        space.add(name, t.valueCount(), t.options().getDefaultIndex());
-    }
-    return space;
+    return stateSpaceFor(_registry, threads);
 }
 
+namespace {
+
 SphParams
-FluidanimateBenchmark::paramsFrom(const tradeoff::Assignment &assignment,
-                                  bool auxiliary) const
+paramsFrom(const tradeoff::Registry &registry,
+           const tradeoff::Assignment &assignment, bool auxiliary)
 {
     const std::string prefix = auxiliary ? tradeoff::kAuxPrefix : "";
     SphParams params;
     const std::string sqrt_name =
-        _registry.nameValue(prefix + "sqrtImpl", assignment);
+        registry.nameValue(prefix + "sqrtImpl", assignment);
     params.sqrtVariant = sqrt_name == "sqrt_newton2" ? 1
                          : sqrt_name == "sqrt_table" ? 2
                                                      : 0;
     params.floatDensity =
-        _registry.nameValue(prefix + "typeDensity", assignment) ==
+        registry.nameValue(prefix + "typeDensity", assignment) ==
         "float";
     params.floatPressure =
-        _registry.nameValue(prefix + "typePressure", assignment) ==
+        registry.nameValue(prefix + "typePressure", assignment) ==
         "float";
     params.floatViscosity =
-        _registry.nameValue(prefix + "typeViscosity", assignment) ==
+        registry.nameValue(prefix + "typeViscosity", assignment) ==
         "float";
     params.prismX = static_cast<int>(
-        _registry.intValue(prefix + "prismX", assignment));
+        registry.intValue(prefix + "prismX", assignment));
     params.prismY = static_cast<int>(
-        _registry.intValue(prefix + "prismY", assignment));
+        registry.intValue(prefix + "prismY", assignment));
     params.prismZ = static_cast<int>(
-        _registry.intValue(prefix + "prismZ", assignment));
+        registry.intValue(prefix + "prismZ", assignment));
     return params;
 }
 
-RunResult
-FluidanimateBenchmark::run(const RunRequest &request)
+using Program = SdiProgram<TimeStep, Fluid, FrameOutput>;
+
+Program
+buildProgram(const Workload &workload, const SphParams &original,
+             const SphParams &aux, const sim::MachineConfig &machine)
 {
-    const Workload workload =
-        makeWorkload(request.workload, request.workloadSeed);
-    const tradeoff::StateSpace space = stateSpace(request.threads);
-    const tradeoff::Configuration config =
-        request.config.empty() ? space.defaultConfiguration()
-                               : request.config;
-    const tradeoff::Assignment assignment =
-        assignmentFor(space, config, _registry);
-
-    const SphParams original_params =
-        paramsFrom(_registry.defaults(), false);
-    const SphParams aux_params = paramsFrom(assignment, true);
-
-    std::optional<support::ScopedDeterministicSeeds> pinned;
-    if (request.runSeed != 0)
-        pinned.emplace(request.runSeed);
-
-    SdiProgram<TimeStep, Fluid, FrameOutput> program;
+    Program program;
     program.inputs = workload.steps;
     program.initialState = workload.initial;
 
-    const sim::MachineConfig machine = request.machine;
     const auto make_compute = [machine](SphParams params) {
         return [machine, params](const TimeStep &step, Fluid &fluid,
-                        const sdi::ComputeContext &ctx)
-                   -> SdiProgram<TimeStep, Fluid, FrameOutput>::
-                       Engine::Invocation {
+                                 const sdi::ComputeContext &ctx)
+                   -> Program::Engine::Invocation {
             support::Xoshiro256 rng(support::entropySeed());
             const double ops = advanceFrame(fluid, step, params, rng);
             auto output = std::make_unique<FrameOutput>();
             output->step = step.id;
             output->last = step.id == kSteps - 1;
             output->positions = fluid.positions;
-            const double eff = platform::effectiveParallelism(
-                machine, ctx.innerThreads, innerModel(params).memBound);
             return {std::move(output),
-                    innerModel(params).work(ops * kOpSeconds,
-                                            ctx.innerThreads, eff)};
+                    innerModel(params).workOn(machine, ops * kOpSeconds,
+                                              ctx.innerThreads)};
         };
     };
-    program.compute = make_compute(original_params);
-    program.auxiliary = make_compute(aux_params);
+    program.compute = make_compute(original);
+    program.auxiliary = make_compute(aux);
 
     // Bracket rule on the fluid distance (like bodytrack's): because
     // the fluid state needs the *whole* history, the speculative
     // state is always far outside the run-to-run spread and the
     // comparison fails (paper section 4.8).
-    program.matcher = [](const Fluid &spec,
-                         const std::vector<Fluid> &originals) -> int {
-        for (std::size_t a = 0; a < originals.size(); ++a) {
-            const double d = spec.distance(originals[a]);
-            if (originals.size() == 1) {
-                if (d <= kMatchTolerance)
-                    return 0;
-                continue;
-            }
-            for (std::size_t b = 0; b < originals.size(); ++b) {
-                if (b != a && d <= originals[b].distance(originals[a]))
-                    return static_cast<int>(a);
-            }
-        }
-        return -1;
-    };
+    program.matcher = sdi::distanceBracketMatcher<Fluid>(
+        [](const Fluid &a, const Fluid &b) { return a.distance(b); },
+        FluidanimateBenchmark::kMatchTolerance);
 
     program.appendSignature = [](const FrameOutput &out,
                                  std::vector<double> &signature) {
@@ -425,23 +389,24 @@ FluidanimateBenchmark::run(const RunRequest &request)
             signature.push_back(p.z);
         }
     };
+    return program;
+}
 
-    const sdi::SpecConfig spec =
-        specConfigFor(space, config, request.mode, request.threads);
-    sdi::SpecConfig policy_spec = spec;
-    applyPolicy(request.policy, program, policy_spec);
-    return runSdiProgram(program, policy_spec, request);
+} // namespace
+
+RunResult
+FluidanimateBenchmark::run(const RunRequest &request)
+{
+    return runSdiBenchmark(
+        request, _registry,
+        makeWorkload(request.workload, request.workloadSeed),
+        paramsFrom, buildProgram);
 }
 
 std::vector<double>
-FluidanimateBenchmark::oracleSignature(WorkloadKind kind,
-                                       std::uint64_t workload_seed)
+FluidanimateBenchmark::computeOracle(WorkloadKind kind,
+                                     std::uint64_t workload_seed) const
 {
-    const auto key = std::make_pair(static_cast<int>(kind), workload_seed);
-    auto it = _oracleCache.find(key);
-    if (it != _oracleCache.end())
-        return it->second;
-
     const Workload workload = makeWorkload(kind, workload_seed);
     const SphParams params; // Exact sqrt, double everywhere.
     std::vector<std::vector<double>> runs;
@@ -458,9 +423,7 @@ FluidanimateBenchmark::oracleSignature(WorkloadKind kind,
         }
         runs.push_back(std::move(signature));
     }
-    auto oracle = averageSignatures(runs);
-    _oracleCache.emplace(key, oracle);
-    return oracle;
+    return averageSignatures(runs);
 }
 
 double

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "benchmarks/common/benchmark.hpp"
@@ -98,22 +97,19 @@ class FluidanimateBenchmark : public Benchmark
     tradeoff::StateSpace stateSpace(int threads) const override;
     int tradeoffCount() const override { return 9; }
     RunResult run(const RunRequest &request) override;
-    std::vector<double>
-    oracleSignature(WorkloadKind kind,
-                    std::uint64_t workload_seed) override;
     double quality(const std::vector<double> &signature,
                    const std::vector<double> &oracle) const override;
 
     /** Single-original acceptance tolerance on the fluid distance. */
     static constexpr double kMatchTolerance = 2.0e-4;
 
-  private:
-    SphParams paramsFrom(const tradeoff::Assignment &assignment,
-                         bool auxiliary) const;
+  protected:
+    std::vector<double>
+    computeOracle(WorkloadKind kind,
+                  std::uint64_t workload_seed) const override;
 
+  private:
     tradeoff::Registry _registry;
-    std::map<std::pair<int, std::uint64_t>, std::vector<double>>
-        _oracleCache;
 };
 
 } // namespace stats::benchmarks::fluidanimate

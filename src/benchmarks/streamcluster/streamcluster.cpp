@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "benchmarks/common/sdi_runner.hpp"
 #include "platform/cost_model.hpp"
@@ -231,33 +230,7 @@ StreamBenchmarkBase::name() const
 tradeoff::StateSpace
 StreamBenchmarkBase::stateSpace(int threads) const
 {
-    tradeoff::StateSpace space;
-    addRuntimeDimensions(space, threads);
-    for (const auto &name : _registry.auxNames()) {
-        const auto &t = _registry.get(name);
-        space.add(name, t.valueCount(), t.options().getDefaultIndex());
-    }
-    return space;
-}
-
-ClusterParams
-StreamBenchmarkBase::paramsFrom(const tradeoff::Assignment &assignment,
-                                bool auxiliary) const
-{
-    const std::string prefix = auxiliary ? tradeoff::kAuxPrefix : "";
-    ClusterParams params;
-    params.maxClusters = static_cast<int>(
-        _registry.intValue(prefix + "maxClusters", assignment));
-    params.minClusters = static_cast<int>(
-        _registry.intValue(prefix + "minClusters", assignment));
-    params.floatDistance =
-        _registry.nameValue(prefix + "typeDistance", assignment) ==
-        "float";
-    params.floatCost =
-        _registry.nameValue(prefix + "typeCost", assignment) == "float";
-    params.floatWeight =
-        _registry.nameValue(prefix + "typeWeight", assignment) == "float";
-    return params;
+    return stateSpaceFor(_registry, threads);
 }
 
 double
@@ -280,98 +253,102 @@ StreamBenchmarkBase::scoreOf(const Workload &workload,
         static_cast<int>(final_solution.centroids.size()));
 }
 
-RunResult
-StreamBenchmarkBase::run(const RunRequest &request)
+namespace {
+
+using Program = SdiProgram<PointBatch, Solution, SolutionSnapshot>;
+
+ClusterParams
+paramsFrom(const tradeoff::Registry &registry,
+           const tradeoff::Assignment &assignment, bool auxiliary)
 {
-    const Workload workload =
-        makeWorkload(request.workload, request.workloadSeed);
-    const tradeoff::StateSpace space = stateSpace(request.threads);
-    const tradeoff::Configuration config =
-        request.config.empty() ? space.defaultConfiguration()
-                               : request.config;
-    const tradeoff::Assignment assignment =
-        assignmentFor(space, config, _registry);
+    const std::string prefix = auxiliary ? tradeoff::kAuxPrefix : "";
+    ClusterParams params;
+    params.maxClusters = static_cast<int>(
+        registry.intValue(prefix + "maxClusters", assignment));
+    params.minClusters = static_cast<int>(
+        registry.intValue(prefix + "minClusters", assignment));
+    params.floatDistance =
+        registry.nameValue(prefix + "typeDistance", assignment) ==
+        "float";
+    params.floatCost =
+        registry.nameValue(prefix + "typeCost", assignment) == "float";
+    params.floatWeight =
+        registry.nameValue(prefix + "typeWeight", assignment) == "float";
+    return params;
+}
 
-    const ClusterParams original_params =
-        paramsFrom(_registry.defaults(), false);
-    const ClusterParams aux_params = paramsFrom(assignment, true);
-
-    std::optional<support::ScopedDeterministicSeeds> pinned;
-    if (request.runSeed != 0)
-        pinned.emplace(request.runSeed);
-
-    SdiProgram<PointBatch, Solution, SolutionSnapshot> program;
+/** The program without its signature, which is the benchmark's score. */
+Program
+buildProgram(const Workload &workload, const ClusterParams &original,
+             const ClusterParams &aux, const sim::MachineConfig &machine)
+{
+    Program program;
     program.inputs = workload.batches;
     program.initialState = Solution{};
 
-    const sim::MachineConfig machine = request.machine;
     const auto make_compute = [machine](ClusterParams params) {
         return [machine, params](const PointBatch &batch,
                                  Solution &solution,
-                        const sdi::ComputeContext &ctx)
-                   -> SdiProgram<PointBatch, Solution, SolutionSnapshot>::
-                       Engine::Invocation {
+                                 const sdi::ComputeContext &ctx)
+                   -> Program::Engine::Invocation {
             support::Xoshiro256 rng(support::entropySeed());
             const double ops =
                 processBatch(solution, batch, params, rng);
             auto output = std::make_unique<SolutionSnapshot>();
             output->batchId = batch.id;
             output->centroids = solution.centroids;
-            const double eff = platform::effectiveParallelism(
-                machine, ctx.innerThreads, innerModel().memBound);
             return {std::move(output),
-                    innerModel().work(ops * kOpSeconds,
-                                      ctx.innerThreads, eff)};
+                    innerModel().workOn(machine, ops * kOpSeconds,
+                                        ctx.innerThreads)};
         };
     };
-    program.compute = make_compute(original_params);
-    program.auxiliary = make_compute(aux_params);
+    program.compute = make_compute(original);
+    program.auxiliary = make_compute(aux);
 
     // By construction: the stream is stationary, so a solution built
     // from a window of recent candidates is one the randomized
     // original could have produced (paper section 4.2: these
     // benchmarks need no comparison function).
     program.matcher = sdi::alwaysMatch<Solution>();
+    return program;
+}
 
-    program.appendSignature = nullptr; // Signature built below.
+} // namespace
 
-    sdi::SpecConfig spec =
-        specConfigFor(space, config, request.mode, request.threads);
-    applyPolicy(request.policy, program, spec);
-
-    // Run with a custom signature: the domain score of the final
-    // solution (DB index or B-cubed F1).
-    exec::SimExecutor executor(request.machine, request.threads);
-    SdiProgram<PointBatch, Solution, SolutionSnapshot>::Engine engine(
-        executor, program.inputs, program.initialState, program.compute,
-        program.auxiliary, program.matcher, spec, *request.session);
-    engine.start();
-    engine.join();
-
-    RunResult result;
-    const auto &activity = executor.simulator().activity();
-    result.virtualSeconds = activity.makespan;
-    result.energyJoules = platform::EnergyModel{}.energyJoules(activity);
-    result.engineStats = engine.stats();
-
-    Solution final_solution;
-    final_solution.centroids = engine.outputs().back()->centroids;
-    result.signature.push_back(scoreOf(workload, final_solution));
-    return result;
+RunResult
+StreamBenchmarkBase::run(const RunRequest &request)
+{
+    const auto build = [this](const Workload &workload,
+                              const ClusterParams &original,
+                              const ClusterParams &aux,
+                              const sim::MachineConfig &machine) {
+        Program program = buildProgram(workload, original, aux, machine);
+        // The signature is the domain score of the final solution
+        // (DB index or B-cubed F1).
+        program.appendSignature = [this, &workload](
+                                      const SolutionSnapshot &out,
+                                      std::vector<double> &signature) {
+            if (out.batchId != kBatches - 1)
+                return;
+            Solution final_solution;
+            final_solution.centroids = out.centroids;
+            signature.push_back(scoreOf(workload, final_solution));
+        };
+        return program;
+    };
+    return runSdiBenchmark(
+        request, _registry,
+        makeWorkload(request.workload, request.workloadSeed),
+        paramsFrom, build);
 }
 
 std::vector<double>
-StreamBenchmarkBase::oracleSignature(WorkloadKind kind,
-                                     std::uint64_t workload_seed)
+StreamBenchmarkBase::computeOracle(WorkloadKind kind,
+                                   std::uint64_t workload_seed) const
 {
-    const auto key = std::make_pair(static_cast<int>(kind), workload_seed);
-    auto it = _oracleCache.find(key);
-    if (it != _oracleCache.end())
-        return it->second;
-
     // Oracle: generous cluster budget, averaged over repetitions.
     const Workload workload = makeWorkload(kind, workload_seed);
-    ClusterParams params = paramsFrom(_registry.defaults(), false);
+    ClusterParams params = paramsFrom(_registry, _registry.defaults(), false);
     params.maxClusters = 24;
     double score = 0.0;
     constexpr int kReps = 5;
@@ -382,9 +359,7 @@ StreamBenchmarkBase::oracleSignature(WorkloadKind kind,
             processBatch(solution, batch, params, rng);
         score += scoreOf(workload, solution);
     }
-    std::vector<double> oracle{score / kReps};
-    _oracleCache.emplace(key, oracle);
-    return oracle;
+    return {score / kReps};
 }
 
 double

@@ -26,7 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "benchmarks/common/benchmark.hpp"
@@ -119,24 +118,21 @@ class StreamBenchmarkBase : public Benchmark
     tradeoff::StateSpace stateSpace(int threads) const override;
     int tradeoffCount() const override { return 7; }
     RunResult run(const RunRequest &request) override;
-    std::vector<double>
-    oracleSignature(WorkloadKind kind,
-                    std::uint64_t workload_seed) override;
     double quality(const std::vector<double> &signature,
                    const std::vector<double> &oracle) const override;
 
-  private:
-    ClusterParams paramsFrom(const tradeoff::Assignment &assignment,
-                             bool auxiliary) const;
+  protected:
+    std::vector<double>
+    computeOracle(WorkloadKind kind,
+                  std::uint64_t workload_seed) const override;
 
+  private:
     /** Domain metric of a finished run: DB index or B-cubed F1. */
     double scoreOf(const Workload &workload,
                    const Solution &final_solution) const;
 
     bool _classifier;
     tradeoff::Registry _registry;
-    std::map<std::pair<int, std::uint64_t>, std::vector<double>>
-        _oracleCache;
 };
 
 /** streamcluster: clustering quality via Davies-Bouldin. */

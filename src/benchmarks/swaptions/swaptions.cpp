@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "benchmarks/common/sdi_runner.hpp"
 #include "platform/cost_model.hpp"
@@ -127,73 +126,49 @@ SwaptionsBenchmark::SwaptionsBenchmark()
 tradeoff::StateSpace
 SwaptionsBenchmark::stateSpace(int threads) const
 {
-    tradeoff::StateSpace space;
-    addRuntimeDimensions(space, threads);
-    for (const auto &name : _registry.auxNames()) {
-        const auto &t = _registry.get(name);
-        space.add(name, t.valueCount(), t.options().getDefaultIndex());
-    }
-    return space;
+    return stateSpaceFor(_registry, threads);
 }
 
+namespace {
+
 McParams
-SwaptionsBenchmark::paramsFrom(const tradeoff::Assignment &assignment,
-                               bool auxiliary) const
+paramsFrom(const tradeoff::Registry &registry,
+           const tradeoff::Assignment &assignment, bool auxiliary)
 {
     const std::string prefix = auxiliary ? tradeoff::kAuxPrefix : "";
     McParams params;
     params.floatRatePath =
-        _registry.nameValue(prefix + "typeRatePath", assignment) ==
+        registry.nameValue(prefix + "typeRatePath", assignment) ==
         "float";
     params.floatDiscount =
-        _registry.nameValue(prefix + "typeDiscount", assignment) ==
+        registry.nameValue(prefix + "typeDiscount", assignment) ==
         "float";
     return params;
 }
 
-RunResult
-SwaptionsBenchmark::run(const RunRequest &request)
+using Program = SdiProgram<Batch, PriceState, PriceOutput>;
+
+Program
+buildProgram(const Workload &workload, const McParams &original,
+             const McParams &aux, const sim::MachineConfig &machine)
 {
-    const auto workload =
-        std::make_shared<Workload>(
-            makeWorkload(request.workload, request.workloadSeed));
-    const tradeoff::StateSpace space = stateSpace(request.threads);
-    const tradeoff::Configuration config =
-        request.config.empty() ? space.defaultConfiguration()
-                               : request.config;
-    const tradeoff::Assignment assignment =
-        assignmentFor(space, config, _registry);
+    Program program;
+    program.inputs = workload.batches;
 
-    const McParams original_params =
-        paramsFrom(_registry.defaults(), false);
-    const McParams aux_params = paramsFrom(assignment, true);
-
-    std::optional<support::ScopedDeterministicSeeds> pinned;
-    if (request.runSeed != 0)
-        pinned.emplace(request.runSeed);
-
-    SdiProgram<Batch, PriceState, PriceOutput> program;
-    program.inputs = workload->batches;
-    program.initialState = PriceState{};
-
-    const sim::MachineConfig machine = request.machine;
-    const auto make_compute = [workload, machine](McParams params,
-                                                  bool auxiliary) {
-        return [workload, machine, params, auxiliary](
+    const auto make_compute = [&workload, machine](McParams params) {
+        return [&workload, machine, params](
                    const Batch &batch, PriceState &state,
                    const sdi::ComputeContext &ctx)
-                   -> SdiProgram<Batch, PriceState, PriceOutput>::
-                       Engine::Invocation {
+                   -> Program::Engine::Invocation {
             support::Xoshiro256 rng(support::entropySeed());
             const auto &terms =
-                workload->terms[static_cast<std::size_t>(batch.swaption)];
+                workload.terms[static_cast<std::size_t>(batch.swaption)];
             double ops = simulateBatch(state, batch, terms, params, rng);
             // The float tradeoffs buy throughput (vectorized lanes).
             if (params.floatRatePath)
                 ops *= 0.72;
             if (params.floatDiscount)
                 ops *= 0.9;
-            (void)auxiliary;
 
             auto output = std::make_unique<PriceOutput>();
             output->swaption = batch.swaption;
@@ -203,15 +178,13 @@ SwaptionsBenchmark::run(const RunRequest &request)
                     : 0.0;
             output->lastBatchOfSwaption =
                 batch.indexInSwaption == kBatchesPerSwaption - 1;
-            const double eff = platform::effectiveParallelism(
-                machine, ctx.innerThreads, innerModel().memBound);
             return {std::move(output),
-                    innerModel().work(ops * kOpSeconds,
-                                      ctx.innerThreads, eff)};
+                    innerModel().workOn(machine, ops * kOpSeconds,
+                                        ctx.innerThreads)};
         };
     };
-    program.compute = make_compute(original_params, false);
-    program.auxiliary = make_compute(aux_params, true);
+    program.compute = make_compute(original);
+    program.auxiliary = make_compute(aux);
 
     // By construction, any accumulator the auxiliary code produces is
     // a value the nondeterministic original producer could have
@@ -224,23 +197,24 @@ SwaptionsBenchmark::run(const RunRequest &request)
         if (out.lastBatchOfSwaption)
             signature.push_back(out.runningPrice);
     };
+    return program;
+}
 
-    const sdi::SpecConfig spec =
-        specConfigFor(space, config, request.mode, request.threads);
-    sdi::SpecConfig policy_spec = spec;
-    applyPolicy(request.policy, program, policy_spec);
-    return runSdiProgram(program, policy_spec, request);
+} // namespace
+
+RunResult
+SwaptionsBenchmark::run(const RunRequest &request)
+{
+    return runSdiBenchmark(
+        request, _registry,
+        makeWorkload(request.workload, request.workloadSeed),
+        paramsFrom, buildProgram);
 }
 
 std::vector<double>
-SwaptionsBenchmark::oracleSignature(WorkloadKind kind,
-                                    std::uint64_t workload_seed)
+SwaptionsBenchmark::computeOracle(WorkloadKind kind,
+                                  std::uint64_t workload_seed) const
 {
-    const auto key = std::make_pair(static_cast<int>(kind), workload_seed);
-    auto it = _oracleCache.find(key);
-    if (it != _oracleCache.end())
-        return it->second;
-
     // Oracle: many more trials than the default run, averaged.
     const Workload workload = makeWorkload(kind, workload_seed);
     const McParams params{false, false};
@@ -261,7 +235,6 @@ SwaptionsBenchmark::oracleSignature(WorkloadKind kind,
     }
     for (double &price : oracle)
         price /= kOracleReps;
-    _oracleCache.emplace(key, oracle);
     return oracle;
 }
 

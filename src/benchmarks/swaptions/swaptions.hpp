@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "benchmarks/common/benchmark.hpp"
@@ -110,20 +109,17 @@ class SwaptionsBenchmark : public Benchmark
     tradeoff::StateSpace stateSpace(int threads) const override;
     int tradeoffCount() const override { return 4; }
     RunResult run(const RunRequest &request) override;
-    std::vector<double>
-    oracleSignature(WorkloadKind kind,
-                    std::uint64_t workload_seed) override;
     double quality(const std::vector<double> &signature,
                    const std::vector<double> &oracle) const override;
     bool supportsQualityIteration() const override { return true; }
 
-  private:
-    McParams paramsFrom(const tradeoff::Assignment &assignment,
-                        bool auxiliary) const;
+  protected:
+    std::vector<double>
+    computeOracle(WorkloadKind kind,
+                  std::uint64_t workload_seed) const override;
 
+  private:
     tradeoff::Registry _registry;
-    std::map<std::pair<int, std::uint64_t>, std::vector<double>>
-        _oracleCache;
 };
 
 } // namespace stats::benchmarks::swaptions

@@ -76,11 +76,4 @@ CallGraph::tradeoffCarriers() const
     return carriers;
 }
 
-bool
-CallGraph::hasDirectTradeoff(const std::string &fn) const
-{
-    auto it = _directTradeoff.find(fn);
-    return it != _directTradeoff.end() && it->second;
-}
-
 } // namespace stats::ir

@@ -35,9 +35,6 @@ class CallGraph
      */
     std::set<std::string> tradeoffCarriers() const;
 
-    /** Whether `fn` directly calls any tradeoff placeholder. */
-    bool hasDirectTradeoff(const std::string &fn) const;
-
   private:
     const Module &_module;
     std::map<std::string, std::set<std::string>> _callees;

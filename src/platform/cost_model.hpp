@@ -98,6 +98,19 @@ struct InnerParallelModel
         return exec::Work{duration(work_seconds, threads, effective),
                           memBound};
     }
+
+    /**
+     * Package an invocation of `workSeconds` total work run with
+     * `threads` inner threads on `machine`, whose Hyper-Threading
+     * sharing sets the effective throughput.
+     */
+    exec::Work
+    workOn(const sim::MachineConfig &machine, double work_seconds,
+           int threads) const
+    {
+        return work(work_seconds, threads,
+                    effectiveParallelism(machine, threads, memBound));
+    }
 };
 
 } // namespace stats::platform

@@ -48,20 +48,29 @@ neverMatch()
 /**
  * The paper's distance-bracket rule (section 4.2, bodytrack): accept
  * the speculative state S' if for some pair of original states (A, B)
- * the distance d(S', A) is no larger than d(B, A). Requires at least
- * two original states; with a single original the runtime must
- * re-execute the producer to obtain a second one — this is exactly
- * how STATS "takes advantage of the program's nondeterminism".
+ * the distance d(S', A) is no larger than d(B, A). A single original
+ * state A gives no pair, so S' is accepted only within the
+ * developer-calibrated `single_tolerance` of A; otherwise the runtime
+ * re-executes the producer to obtain a second original — this is
+ * exactly how STATS "takes advantage of the program's
+ * nondeterminism".
  *
  * @param distance developer-supplied state distance measure
+ * @param single_tolerance largest d(S', A) accepted against a single
+ *        original state A
  */
 template <class State>
 std::function<int(const State &, const std::vector<State> &)>
 distanceBracketMatcher(
-    std::function<double(const State &, const State &)> distance)
+    std::function<double(const State &, const State &)> distance,
+    double single_tolerance)
 {
-    return [distance](const State &spec,
-                      const std::vector<State> &originals) -> int {
+    return [distance, single_tolerance](
+               const State &spec,
+               const std::vector<State> &originals) -> int {
+        if (originals.size() == 1)
+            return distance(spec, originals[0]) <= single_tolerance ? 0
+                                                                     : -1;
         for (std::size_t a = 0; a < originals.size(); ++a) {
             const double spec_dist = distance(spec, originals[a]);
             for (std::size_t b = 0; b < originals.size(); ++b) {

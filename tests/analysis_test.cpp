@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests of the speculation-safety static analysis layer: the dataflow
- * framework (CFG, dominators, def-use, reaching definitions,
- * liveness), the AnalysisManager cache, the semantic passes (purity,
- * clone audit, freeze check, escape check), the lint driver, and the
- * rule registry's lockstep with docs/ANALYSIS.md.
+ * framework (CFG, def-use, reaching definitions, liveness), the
+ * AnalysisManager cache, the semantic passes (purity, clone audit,
+ * freeze check, escape check), the lint driver, and the rule
+ * registry's lockstep with docs/ANALYSIS.md.
  */
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "analysis/clone_audit.hpp"
 #include "analysis/dataflow.hpp"
 #include "analysis/diagnostics.hpp"
-#include "analysis/dominators.hpp"
 #include "analysis/escape_check.hpp"
 #include "analysis/freeze_check.hpp"
 #include "analysis/lint.hpp"
@@ -127,34 +126,6 @@ dead:
     EXPECT_FALSE(cfg.reachable(1));
 }
 
-TEST(DomTree, DiamondDominators)
-{
-    const ir::Module module = ir::parseModule(kDiamondModule);
-    const Cfg cfg(module.functions[0]);
-    const DomTree dom(cfg);
-
-    const int low = cfg.indexOf("low");
-    const int join = cfg.indexOf("join");
-    EXPECT_EQ(dom.idom(cfg.entry()), cfg.entry());
-    EXPECT_EQ(dom.idom(low), cfg.entry());
-    // Neither branch arm dominates the join; the entry does.
-    EXPECT_EQ(dom.idom(join), cfg.entry());
-    EXPECT_TRUE(dom.dominates(cfg.entry(), join));
-    EXPECT_FALSE(dom.dominates(low, join));
-    EXPECT_TRUE(dom.dominates(join, join));
-}
-
-TEST(DomTree, LoopHeaderDominatesBody)
-{
-    const ir::Module module = ir::parseModule(kLoopModule);
-    const Cfg cfg(module.functions[0]);
-    const DomTree dom(cfg);
-    const int loop = cfg.indexOf("loop");
-    const int exit = cfg.indexOf("exit");
-    EXPECT_TRUE(dom.dominates(loop, exit));
-    EXPECT_EQ(dom.idom(exit), loop);
-}
-
 TEST(DefUse, TracksDefinitionsAndUses)
 {
     const ir::Module module = ir::parseModule(kDiamondModule);
@@ -235,7 +206,6 @@ TEST(Liveness, LoopLiveRanges)
     EXPECT_TRUE(live.liveIn(exit, "acc2"));
     EXPECT_FALSE(live.liveOut(exit, "acc2"));
     EXPECT_FALSE(live.liveIn(exit, "i2"));
-    EXPECT_GE(live.liveInCount(loop), 2u); // At least %n and the phis.
 }
 
 TEST(AnalysisManager, CachesPerFunctionAndInvalidates)
@@ -245,7 +215,6 @@ TEST(AnalysisManager, CachesPerFunctionAndInvalidates)
 
     const Cfg *first = &manager.cfg("f");
     EXPECT_EQ(&manager.cfg("f"), first); // Cached: same object.
-    manager.dominators("f");
     manager.reachingDefs("f");
     manager.liveness("f");
     EXPECT_EQ(manager.cachedFunctionCount(), 1u);

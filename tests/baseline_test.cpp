@@ -36,7 +36,7 @@ TEST(Baselines, FastTrackAlwaysAborts)
 {
     // "Fast Track always aborted its speculations in our
     // experiments" (paper section 4.4).
-    for (const std::string name : {"swaptions", "bodytrack"}) {
+    for (const auto &name : allBenchmarkNames()) {
         auto bench = createBenchmark(name);
         const auto result =
             runBaseline(BaselineKind::FastTrack, *bench,
@@ -74,16 +74,18 @@ TEST(Baselines, AlterLikeSpeedsUpSwaptionsOnly)
 
 TEST(Baselines, BreakingDependencesSkipsAuxiliaryWork)
 {
-    auto bench = createBenchmark("swaptions");
-    RunRequest request;
-    request.threads = 14;
-    request.mode = Mode::SeqStats;
-    request.policy = SpeculationPolicy::BreakNoCheck;
-    const RunResult result = bench->run(request);
-    // No auxiliary inputs consumed and every group committed.
-    EXPECT_EQ(result.engineStats.aborts, 0);
-    EXPECT_GT(result.engineStats.validations, 0);
-    EXPECT_EQ(result.engineStats.mismatches, 0);
+    for (const auto &name : allBenchmarkNames()) {
+        auto bench = createBenchmark(name);
+        RunRequest request;
+        request.threads = 14;
+        request.mode = Mode::SeqStats;
+        request.policy = SpeculationPolicy::BreakNoCheck;
+        const RunResult result = bench->run(request);
+        // No auxiliary inputs consumed and every group committed.
+        EXPECT_EQ(result.engineStats.aborts, 0) << name;
+        EXPECT_GT(result.engineStats.validations, 0) << name;
+        EXPECT_EQ(result.engineStats.mismatches, 0) << name;
+    }
 }
 
 TEST(Baselines, InapplicableParFlavorEqualsOriginal)

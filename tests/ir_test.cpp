@@ -366,8 +366,6 @@ TEST(CallGraph, BottomUpTradeoffAnalysis)
 {
     const Module module = parseModule(kToyModule);
     const CallGraph graph(module);
-    EXPECT_TRUE(graph.hasDirectTradeoff("computeOutput"));
-    EXPECT_FALSE(graph.hasDirectTradeoff("plain"));
     const auto carriers = graph.tradeoffCarriers();
     EXPECT_TRUE(carriers.count("computeOutput"));
     EXPECT_FALSE(carriers.count("plain"));

@@ -105,6 +105,20 @@ TEST(InnerParallelModel, WorkCarriesMemBound)
     EXPECT_DOUBLE_EQ(work.units, model.duration(1.0, 2));
 }
 
+TEST(InnerParallelModel, WorkOnSharesHyperThreadedCores)
+{
+    // 42 logical threads on 28 cores: the 14 HT siblings add their
+    // memory-bound marginal throughput, not full cores.
+    InnerParallelModel model{0.1, 1e-4, 0.35};
+    const exec::Work work = model.workOn(machine(true), 1.0, 42);
+    EXPECT_DOUBLE_EQ(work.memBound, 0.35);
+    EXPECT_DOUBLE_EQ(
+        work.units,
+        model.duration(1.0, 42, effectiveParallelism(machine(true), 42,
+                                                     0.35)));
+    EXPECT_GT(work.units, model.duration(1.0, 42));
+}
+
 TEST(EnergyModel, IntegratesIdleAndActivePower)
 {
     EnergyModel model;

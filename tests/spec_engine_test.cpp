@@ -16,6 +16,7 @@
  * so any incorrect state chaining shows up in the outputs.
  */
 
+#include <cmath>
 #include <functional>
 #include <map>
 #include <memory>
@@ -367,6 +368,21 @@ TEST(SpecEngine, ValidByConstructionWithoutMatcher)
     engine.join();
     expectOutputsEqual(engine.outputs(), reference(inputs));
     EXPECT_EQ(engine.stats().validations, 3);
+}
+
+TEST(Matchers, DistanceBracketRuleWithSingleOriginalTolerance)
+{
+    const auto match = sdi::distanceBracketMatcher<double>(
+        [](const double &a, const double &b) { return std::abs(a - b); },
+        /* single_tolerance */ 0.5);
+    // One original: only the tolerance can accept.
+    EXPECT_EQ(match(1.0, {1.3}), 0);
+    EXPECT_EQ(match(1.0, {1.6}), -1);
+    // Two originals 1.0 apart: accepted within their spread, credited
+    // to the original it is measured from.
+    EXPECT_EQ(match(0.4, {0.0, 1.0}), 0);
+    EXPECT_EQ(match(1.5, {0.0, 1.0}), 1);
+    EXPECT_EQ(match(3.0, {0.0, 1.0}), -1);
 }
 
 /** Correctness sweep across group size / window / concurrency. */
