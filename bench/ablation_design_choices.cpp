@@ -70,7 +70,7 @@ runWith(Benchmark &bench, double seq_time, const char *dim,
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Ablations", "Design-choice ablations: R, k, and G",
         "re-execution (R >= 1) rescues mismatches that single-state "
@@ -156,5 +156,5 @@ main(int argc, char **argv)
         }
     }
     table_g.print(std::cout);
-    return 0;
+    return harness.finish();
 }

@@ -6,14 +6,20 @@
 # the runnable binaries: the whole suite can be executed with
 #   for b in build/bench/*; do $b; done
 
+# The command line and baseline reader every option-taking bench
+# binary shares; small, so the micro benchmarks link it alone.
+add_library(stats_bench_cli STATIC
+    bench/common/command_line.cpp)
+target_include_directories(stats_bench_cli PUBLIC
+    ${PROJECT_SOURCE_DIR}/bench)
+target_link_libraries(stats_bench_cli PUBLIC stats_support)
+
 add_library(stats_bench_common STATIC
     bench/common/experiment.cpp
     bench/common/ir_synth.cpp)
-target_include_directories(stats_bench_common PUBLIC
-    ${PROJECT_SOURCE_DIR}/bench)
 target_link_libraries(stats_bench_common PUBLIC
-    stats_profiler stats_baselines stats_frontend stats_midend
-    stats_backend stats_replay)
+    stats_bench_cli stats_profiler stats_baselines stats_frontend
+    stats_midend stats_backend stats_replay)
 
 function(stats_add_figure name)
     add_executable(${name} bench/${name}.cpp)
@@ -51,7 +57,7 @@ stats_add_micro(micro_compilers)
 # CI can run its --check regression gate against a checked-in baseline.
 add_executable(micro_scheduler bench/micro_scheduler.cpp)
 target_link_libraries(micro_scheduler PRIVATE
-    stats_exec stats_threading stats_observability stats_support)
+    stats_bench_cli stats_exec stats_threading stats_observability)
 set_target_properties(micro_scheduler PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
@@ -59,6 +65,6 @@ set_target_properties(micro_scheduler PROPERTIES
 # mode, with the same --check regression gate (docs/INTERPRETER.md §8).
 add_executable(micro_interpreter bench/micro_interpreter.cpp)
 target_link_libraries(micro_interpreter PRIVATE
-    stats_bytecode stats_ir stats_support)
+    stats_bench_cli stats_bytecode stats_ir)
 set_target_properties(micro_interpreter PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

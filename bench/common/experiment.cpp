@@ -1,18 +1,10 @@
 #include "common/experiment.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 
-#include "observability/chrome_trace.hpp"
-#include "observability/summary.hpp"
-#include "observability/trace.hpp"
-#include "replay/fault_plan.hpp"
-#include "replay/record_log.hpp"
-#include "replay/session.hpp"
-#include "support/log.hpp"
+#include "common/command_line.hpp"
 #include "support/statistics.hpp"
-#include "support/string_utils.hpp"
 
 namespace stats::benchx {
 
@@ -190,132 +182,17 @@ printHeader(const std::string &figure, const std::string &caption,
     std::cout << "==========================================================\n";
 }
 
-ObsSession::ObsSession(int argc, char **argv)
+Harness::Harness(int argc, char **argv)
+    : _session(parseOptions(
+          argc, argv, replay::RunSession::options(),
+          "[--trace=FILE] [--metrics=FILE] [--seed=N] [--record=FILE] "
+          "[--replay=FILE] [--faults=PLAN]"))
 {
-    const auto grab = [&](int &i, const std::string &word,
-                          const std::string &flag, std::string &path) {
-        const std::string prefix = flag + "=";
-        if (support::startsWith(word, prefix)) {
-            path = word.substr(prefix.size());
-            return true;
-        }
-        if (word == flag && i + 1 < argc) {
-            path = argv[++i];
-            return true;
-        }
-        return false;
-    };
-    std::string seed_word;
-    std::string fault_spec;
-    for (int i = 1; i < argc; ++i) {
-        const std::string word = argv[i];
-        if (!grab(i, word, "--trace", _tracePath) &&
-            !grab(i, word, "--metrics", _metricsPath) &&
-            !grab(i, word, "--seed", seed_word) &&
-            !grab(i, word, "--record", _recordPath) &&
-            !grab(i, word, "--replay", _replayPath) &&
-            !grab(i, word, "--faults", fault_spec)) {
-            std::cerr << "warning: ignoring unknown argument '" << word
-                      << "' (known: --trace=FILE, --metrics=FILE, "
-                         "--seed=N, --record=FILE, --replay=FILE, "
-                         "--faults=PLAN)\n";
-        }
-    }
-    _active = !_tracePath.empty() || !_metricsPath.empty();
-    if (_active) {
-        obs::Trace::global().enable();
-        // Folds to false when the layer is compiled out.
-        if (!obs::traceActive())
-            support::fatal("--trace/--metrics need tracing compiled "
-                           "in (built with STATS_OBS_DISABLE)");
-    }
-
-    if (!_recordPath.empty() && !_replayPath.empty())
-        support::fatal("--record and --replay are exclusive");
-    if (!fault_spec.empty()) {
-        std::string error;
-        auto plan = replay::FaultPlan::fromSpec(fault_spec, error);
-        if (!plan)
-            support::fatal(error);
-        replay::ReplaySession::global().setFaultPlan(*plan);
-        std::cerr << "fault plan: " << plan->describe() << "\n";
-    }
-
-    if (!seed_word.empty())
-        _seed = std::stoull(seed_word);
-    auto &session = replay::ReplaySession::global();
-    if (!_replayPath.empty()) {
-        std::string error;
-        auto log = replay::RecordLog::loadFile(_replayPath, error);
-        if (!log)
-            support::fatal("--replay: ", error);
-        _seed = log->rootSeed;
-        session.startReplay(std::move(*log));
-    } else if (!_recordPath.empty()) {
-        if (_seed == 0) {
-            // Entropy seeding cannot be reproduced; pin the run.
-            _seed = 1;
-            std::cerr << "note: --record without --seed; pinning root "
-                         "seed to 1 for determinism\n";
-        }
-        session.startRecording(_seed);
-        session.setMetadata("harness", argc > 0 ? argv[0] : "");
-        session.setMetadata("seed", std::to_string(_seed));
-    }
-    // A nonzero root seed pins entropySeed() for the whole process:
-    // what makes two recordings of the same harness byte-identical.
-    if (_seed != 0)
-        _pinned.emplace(_seed);
-}
-
-ObsSession::~ObsSession()
-{
-    auto &session = replay::ReplaySession::global();
-    if (!_recordPath.empty()) {
-        const replay::RecordLog log = session.finishRecording();
-        log.saveFile(_recordPath);
-        std::cerr << "recorded " << log.records.size()
-                  << " choice points (" << log.runCount()
-                  << " engine runs, seed " << log.rootSeed << ") to "
-                  << _recordPath << "\n";
-    } else if (!_replayPath.empty()) {
-        const replay::ReplayReport report = session.finishReplay();
-        if (report.diverged) {
-            // Fatal so CI's replay-determinism job fails loudly.
-            support::fatal("replay DIVERGED: ",
-                           report.first.describe());
-        }
-        std::cerr << "replay OK: matched " << report.recordsMatched
-                  << " choice points across " << report.runsReplayed
-                  << " engine runs\n";
-    }
-
-    if (!_active)
-        return;
-    auto &trace = obs::Trace::global();
-    const auto events = trace.collect();
-    const auto summary = obs::summarizeTrace(events, trace.dropped());
-    if (!_tracePath.empty()) {
-        std::ofstream out(_tracePath);
-        if (!out) {
-            std::cerr << "cannot open '" << _tracePath << "'\n";
-        } else {
-            obs::writeChromeTrace(out, events);
-            std::cerr << "wrote " << events.size()
-                      << " trace events to " << _tracePath
-                      << " (load in chrome://tracing)\n";
-        }
-    }
-    if (!_metricsPath.empty()) {
-        std::ofstream out(_metricsPath);
-        if (!out) {
-            std::cerr << "cannot open '" << _metricsPath << "'\n";
-        } else {
-            obs::writeSummaryJson(out, summary);
-            std::cerr << "wrote metrics to " << _metricsPath << "\n";
-        }
-    }
-    obs::printSummaryTable(std::cerr, summary);
+    const std::uint64_t seed = _session.start(0);
+    _session.setMetadata("harness", argc > 0 ? argv[0] : "");
+    _session.setMetadata("seed", std::to_string(seed));
+    if (seed != 0)
+        _pinned.emplace(seed);
 }
 
 } // namespace stats::benchx

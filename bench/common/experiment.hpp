@@ -17,6 +17,7 @@
 
 #include "benchmarks/common/benchmark.hpp"
 #include "profiler/profiler.hpp"
+#include "replay/run_session.hpp"
 #include "sim/machine.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -105,48 +106,27 @@ void printHeader(const std::string &figure, const std::string &caption,
                  const std::string &paper_expectation);
 
 /**
- * Observability + record/replay session of one figure binary.
- * Construct it first thing in main with argc/argv; it recognises
+ * The command line and run session of one figure harness. A harness
+ * takes the run-session options (replay/run_session.hpp) and nothing
+ * else; any other word is a usage error (exit 1) before any work
+ * runs. Construct it first thing in main and return finish() from
+ * main. Session notes and the trace summary go to stderr; stdout
+ * carries the figure's own tables and JSON.
  *
- *   --trace=FILE   (or `--trace FILE`)   chrome://tracing JSON
- *   --metrics=FILE (or `--metrics FILE`) trace-derived metrics JSON
- *   --seed=N       pin the process PRVGs (deterministic run)
- *   --record=FILE  record the engine choice points (implies --seed;
- *                  defaults to seed 1 when none is given)
- *   --replay=FILE  re-drive the harness from a recording; any
- *                  divergence is fatal (nonzero exit, for CI)
- *   --faults=PLAN  inject faults (docs/REPLAY.md §4 grammar)
- *
- * When --trace/--metrics is present, enables the global trace for the
- * whole run. The destructor collects the events, writes the requested
- * files, prints the summary table to stderr (stdout carries the
- * figure's own tables/JSON), then saves the recording or reports the
- * replay verdict. Without these flags the session is inert. See
- * docs/OBSERVABILITY.md and docs/REPLAY.md.
+ * A recording stores the harness path and the seed. A nonzero
+ * effective seed pins the process PRVGs for the whole run, which is
+ * what makes two recordings of the same harness byte-identical.
  */
-class ObsSession
+class Harness
 {
   public:
-    ObsSession(int argc, char **argv);
-    ~ObsSession();
+    Harness(int argc, char **argv);
 
-    ObsSession(const ObsSession &) = delete;
-    ObsSession &operator=(const ObsSession &) = delete;
-
-    bool active() const { return _active; }
-
-    /** Root seed pinning this run (0 = entropy, unpinned). */
-    std::uint64_t seed() const { return _seed; }
+    /** Export, save or judge the run; main's exit code. */
+    int finish() { return _session.finish(); }
 
   private:
-    std::string _tracePath;
-    std::string _metricsPath;
-    std::string _recordPath;
-    std::string _replayPath;
-    std::uint64_t _seed = 0;
-    bool _active = false;
-
-    /** Process-wide PRVG pin making the whole harness deterministic. */
+    replay::RunSession _session;
     std::optional<support::ScopedDeterministicSeeds> _pinned;
 };
 

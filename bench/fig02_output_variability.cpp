@@ -39,7 +39,7 @@ sci(double v)
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 2", "Output variability over repeated runs (log scale)",
         "several benchmarks exhibit high variability; fluidanimate's "
@@ -123,5 +123,5 @@ main(int argc, char **argv)
             .endObject();
     }
     json.endArray().endObject();
-    return 0;
+    return harness.finish();
 }

@@ -16,7 +16,7 @@ using namespace stats::benchmarks;
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 3",
         "Highest speedup of the original benchmarks (28 cores)",
@@ -61,5 +61,5 @@ main(int argc, char **argv)
     json.endObject()
         .field("geomean", support::geomean(bests))
         .endObject();
-    return 0;
+    return harness.finish();
 }

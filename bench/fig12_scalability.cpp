@@ -20,7 +20,7 @@ using namespace stats::benchmarks;
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 12",
         "Speedup vs hardware threads: Original / Seq. STATS / Par. STATS",
@@ -97,5 +97,5 @@ main(int argc, char **argv)
                               1.0),
                      1)
               << "% over the original; the paper reports +158.2%)\n";
-    return 0;
+    return harness.finish();
 }

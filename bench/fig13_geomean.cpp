@@ -15,7 +15,7 @@ using namespace stats::benchmarks;
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 13",
         "Geometric mean of per-benchmark speedups vs hardware threads",
@@ -61,5 +61,5 @@ main(int argc, char **argv)
         .field("original", geo_original)
         .field("parStats", geo_par)
         .endObject();
-    return 0;
+    return harness.finish();
 }

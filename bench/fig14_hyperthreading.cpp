@@ -21,7 +21,7 @@ using namespace stats::benchmarks;
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 14", "Single-socket Hyper-Threading study",
         "HT buys STATS ~+32% (Intel's guidance for a successful HT "
@@ -107,5 +107,5 @@ main(int argc, char **argv)
                               1.0),
                      1)
               << "% (paper: +13%).\n";
-    return 0;
+    return harness.finish();
 }

@@ -21,7 +21,7 @@ using namespace stats::benchmarks;
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 15", "System-wide energy, relative to the original",
         "time-tuned STATS saves ~62% energy; energy-tuned STATS saves "
@@ -91,5 +91,5 @@ main(int argc, char **argv)
               << "% (paper: 61.98%), energy mode "
               << support::TextTable::formatDouble(100.0 - geo_energy, 1)
               << "% (paper: 71.35%).\n";
-    return 0;
+    return harness.finish();
 }

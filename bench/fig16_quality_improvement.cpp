@@ -26,7 +26,7 @@ using namespace stats::benchmarks;
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 16",
         "Output-quality improvement within the original's time budget",
@@ -97,5 +97,5 @@ main(int argc, char **argv)
     json.endArray().endObject();
     std::cout << "\n";
     table.print(std::cout);
-    return 0;
+    return harness.finish();
 }

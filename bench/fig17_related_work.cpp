@@ -23,7 +23,7 @@ using namespace stats::benchmarks;
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 17", "Related-work comparison on state dependences",
         "prior approaches speed up only swaptions; Fast Track always "
@@ -119,5 +119,5 @@ main(int argc, char **argv)
     json.endArray().endObject();
     std::cout << "\n";
     table.print(std::cout);
-    return 0;
+    return harness.finish();
 }

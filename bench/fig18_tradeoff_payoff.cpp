@@ -68,7 +68,7 @@ tunedTimeWithSubset(Benchmark &bench, int enabled, int threads,
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 18",
         "Relative speedup vs number of encoded tradeoffs ('pay as you "
@@ -127,5 +127,5 @@ main(int argc, char **argv)
     table.print(std::cout);
     std::cout << "\n(100% = each benchmark's best speedup with all "
                  "tradeoffs encoded.)\n";
-    return 0;
+    return harness.finish();
 }

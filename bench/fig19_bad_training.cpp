@@ -22,7 +22,7 @@ using namespace stats::benchmarks;
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 19", "Training on non-representative inputs",
         "only a small performance fraction is lost; output quality is "
@@ -99,5 +99,5 @@ main(int argc, char **argv)
                                         support::geomean(good)),
                      1)
               << "% (paper: a small fraction).\n";
-    return 0;
+    return harness.finish();
 }

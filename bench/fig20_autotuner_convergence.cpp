@@ -21,7 +21,7 @@ using namespace stats::benchmarks;
 int
 main(int argc, char **argv)
 {
-    benchx::ObsSession obs_session(argc, argv);
+    benchx::Harness harness(argc, argv);
     benchx::printHeader(
         "Figure 20",
         "Autotuner convergence: best configuration vs #evaluations",
@@ -89,5 +89,5 @@ main(int argc, char **argv)
         .field("stddevPct", spread)
         .field("avgStateSpacePoints", total_points / space_count)
         .endObject();
-    return 0;
+    return harness.finish();
 }

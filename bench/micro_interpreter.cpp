@@ -26,10 +26,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/command_line.hpp"
 #include "ir/bytecode.hpp"
 #include "ir/bytecode_verifier.hpp"
 #include "ir/exec_tier.hpp"
@@ -313,49 +313,24 @@ writeJson(std::ostream &out, const std::vector<Result> &results,
     out << "\n";
 }
 
-/** Scan `text` for `"name": <number>`; -1 when absent. */
-double
-scanField(const std::string &text, const std::string &name)
-{
-    const std::string needle = "\"" + name + "\":";
-    const std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return -1.0;
-    return std::strtod(text.c_str() + pos + needle.size(), nullptr);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string out_path = "BENCH_interpreter.json";
-    std::string check_path;
-    double factor = 2.0;
-    double min_speedup = 2.0;
-    double max_verify_cost = 0.2;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--out=", 0) == 0) {
-            out_path = arg.substr(6);
-        } else if (arg.rfind("--check=", 0) == 0) {
-            check_path = arg.substr(8);
-        } else if (arg.rfind("--factor=", 0) == 0) {
-            factor = std::strtod(arg.c_str() + 9, nullptr);
-        } else if (arg.rfind("--min-speedup=", 0) == 0) {
-            min_speedup = std::strtod(arg.c_str() + 14, nullptr);
-        } else if (arg.rfind("--max-verify-cost=", 0) == 0) {
-            max_verify_cost = std::strtod(arg.c_str() + 18, nullptr);
-        } else {
-            std::cerr << "usage: micro_interpreter [--smoke] "
-                         "[--out=FILE] [--check=BASELINE] [--factor=N] "
-                         "[--min-speedup=N] [--max-verify-cost=N]\n";
-            return 2;
-        }
-    }
+    const stats::support::CliArgs args = stats::benchx::parseOptions(
+        argc, argv,
+        {"smoke", "out", "check", "factor", "min-speedup",
+         "max-verify-cost"},
+        "[--smoke] [--out=FILE] [--check=BASELINE] [--factor=N] "
+        "[--min-speedup=N] [--max-verify-cost=N]");
+    const bool smoke = args.has("smoke");
+    const std::string out_path =
+        args.get("out", "BENCH_interpreter.json");
+    const std::string check_path = args.get("check", "");
+    const double factor = args.getDouble("factor", 2.0);
+    const double min_speedup = args.getDouble("min-speedup", 2.0);
+    const double max_verify_cost = args.getDouble("max-verify-cost", 0.2);
 
     stats::ir::Module module = stats::ir::parseModule(kModuleText);
     if (const auto problems = stats::ir::verifyModule(module);
@@ -438,21 +413,8 @@ main(int argc, char **argv)
     }
 
     if (!check_path.empty()) {
-        std::ifstream in(check_path);
-        if (!in) {
-            std::cerr << "micro_interpreter: cannot read baseline "
-                      << check_path << "\n";
-            return 1;
-        }
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        const double baseline =
-            scanField(buffer.str(), "checkChainI64Speedup");
-        if (baseline <= 0.0) {
-            std::cerr << "micro_interpreter: baseline " << check_path
-                      << " has no checkChainI64Speedup field\n";
-            return 1;
-        }
+        const double baseline = stats::benchx::Baseline(check_path)
+                                    .field("checkChainI64Speedup");
         const double current = results[0].bytecodeSpeedup;
         std::cout << "check: chain_i64 speedup " << current
                   << " vs baseline " << baseline << " (allowed >= "

@@ -51,11 +51,11 @@
 #include <iostream>
 #include <mutex>
 #include <new>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/command_line.hpp"
 #include "exec/thread_executor.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
@@ -561,42 +561,18 @@ writeJson(std::ostream &out, const std::vector<Result> &results,
     out << "\n";
 }
 
-/** Scan `text` for `"name": <number>`; nan when absent. */
-double
-scanField(const std::string &text, const std::string &name)
-{
-    const std::string needle = "\"" + name + "\":";
-    const std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return -1.0;
-    return std::strtod(text.c_str() + pos + needle.size(), nullptr);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string out_path = "BENCH_scheduler.json";
-    std::string check_path;
-    double factor = 2.0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--out=", 0) == 0) {
-            out_path = arg.substr(6);
-        } else if (arg.rfind("--check=", 0) == 0) {
-            check_path = arg.substr(8);
-        } else if (arg.rfind("--factor=", 0) == 0) {
-            factor = std::strtod(arg.c_str() + 9, nullptr);
-        } else {
-            std::cerr << "usage: micro_scheduler [--smoke] [--out=FILE]"
-                         " [--check=BASELINE] [--factor=N]\n";
-            return 2;
-        }
-    }
+    const stats::support::CliArgs args = stats::benchx::parseOptions(
+        argc, argv, {"smoke", "out", "check", "factor"},
+        "[--smoke] [--out=FILE] [--check=BASELINE] [--factor=N]");
+    const bool smoke = args.has("smoke");
+    const std::string out_path = args.get("out", "BENCH_scheduler.json");
+    const std::string check_path = args.get("check", "");
+    const double factor = args.getDouble("factor", 2.0);
 
     const std::size_t tasks = smoke ? 20000 : 200000;
     std::vector<Result> results;
@@ -637,15 +613,7 @@ main(int argc, char **argv)
     }
 
     if (!check_path.empty()) {
-        std::ifstream in(check_path);
-        if (!in) {
-            std::cerr << "micro_scheduler: cannot read baseline "
-                      << check_path << "\n";
-            return 1;
-        }
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        const std::string baseline = buffer.str();
+        const stats::benchx::Baseline baseline(check_path);
         // The gate holds at EVERY measured worker count, not just the
         // widest: submit latency is bounded relative to the baseline,
         // and the speedup/allocation floors are absolute (they ARE
@@ -655,13 +623,7 @@ main(int argc, char **argv)
             const std::string prefix =
                 "check_w" + std::to_string(r.workers) + "_";
             const double base =
-                scanField(baseline, prefix + "submitNsPerTask");
-            if (base <= 0.0) {
-                std::cerr << "micro_scheduler: baseline " << check_path
-                          << " has no " << prefix
-                          << "submitNsPerTask field\n";
-                return 1;
-            }
+                baseline.field(prefix + "submitNsPerTask");
             std::cout << "check w" << r.workers << ": submit ns/task "
                       << r.submitNsPerTask << " vs baseline " << base
                       << " (allowed " << base * factor

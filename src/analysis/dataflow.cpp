@@ -124,12 +124,6 @@ ReachingDefs::in(int block) const
     return _facts.at(std::size_t(block)).in;
 }
 
-const BitVector &
-ReachingDefs::out(int block) const
-{
-    return _facts.at(std::size_t(block)).out;
-}
-
 std::vector<InstRef>
 ReachingDefs::reachingAt(int block, int index,
                          const std::string &name) const

@@ -62,7 +62,6 @@ class ReachingDefs
     const std::vector<Def> &definitions() const { return _defs; }
 
     const BitVector &in(int block) const;
-    const BitVector &out(int block) const;
 
     /**
      * Definition sites of `name` that may reach the operand read of

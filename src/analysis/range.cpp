@@ -443,19 +443,6 @@ ValueRange::widen(const ValueRange &previous)
     }
 }
 
-bool
-ValueRange::operator==(const ValueRange &other) const
-{
-    if (mayInt != other.mayInt || mayFloat != other.mayFloat)
-        return false;
-    if (mayInt && (intLo != other.intLo || intHi != other.intHi))
-        return false;
-    if (mayFloat && (fltLo != other.fltLo || fltHi != other.fltHi ||
-                     maybeNaN != other.maybeNaN))
-        return false;
-    return true;
-}
-
 std::string
 ValueRange::toString() const
 {

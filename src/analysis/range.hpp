@@ -78,8 +78,6 @@ struct ValueRange
      */
     void widen(const ValueRange &previous);
 
-    bool operator==(const ValueRange &other) const;
-
     /** Debug rendering, e.g. "i64:[0, 9] f64:[0.5, 1.5]". */
     std::string toString() const;
 };

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "replay/record_log.hpp"
 #include "serving/client.hpp"
 #include "serving/execution_plan.hpp"
 #include "support/cli_args.hpp"
@@ -49,17 +50,6 @@ usage()
         << "  result <id> [--blob=FILE]        finished result\n"
         << "  replay-fetch <id> [--out=FILE]   served RecordLog\n"
         << "  drain                            drain + shut down\n";
-}
-
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const unsigned char byte : bytes) {
-        hash ^= byte;
-        hash *= 1099511628211ull;
-    }
-    return hash;
 }
 
 bool
@@ -172,7 +162,7 @@ cmdResult(serving::Client &client, const CliArgs &args)
         char digest[32];
         std::snprintf(digest, sizeof digest, "%016llx",
                       static_cast<unsigned long long>(
-                          fnv1a(status->result.resultBlob)));
+                          replay::fnv1a(status->result.resultBlob)));
         std::cout << " final-state=" << status->result.finalState
                   << " invocations=" << status->result.invocations
                   << " lanes=" << status->result.batchedLanes

@@ -66,7 +66,8 @@
  *                             and tuner streams via SeedSequence
  *                             (0 = entropy)
  *
- * Record/replay + fault injection (run/tune; see docs/REPLAY.md):
+ * Record/replay + fault injection (run/tune; the run session shared
+ * with the figure harnesses, replay/run_session.hpp; docs/REPLAY.md):
  *   --record=FILE             record the engine's nondeterministic
  *                             choice points to a replayable log
  *   --replay=FILE             re-drive the engine from a recorded
@@ -100,8 +101,6 @@
 #include "analysis/lint.hpp"
 #include "autotuner/results_io.hpp"
 #include "backend/backend.hpp"
-#include "observability/chrome_trace.hpp"
-#include "observability/metrics.hpp"
 #include "observability/summary.hpp"
 #include "observability/trace.hpp"
 #include "benchmarks/common/benchmark.hpp"
@@ -114,10 +113,9 @@
 #include "ir/verifier.hpp"
 #include "midend/midend.hpp"
 #include "profiler/profiler.hpp"
-#include "replay/fault_plan.hpp"
 #include "replay/log_render.hpp"
 #include "replay/record_log.hpp"
-#include "replay/session.hpp"
+#include "replay/run_session.hpp"
 #include "support/cli_args.hpp"
 #include "support/log.hpp"
 #include "support/seed_sequence.hpp"
@@ -131,97 +129,6 @@ using namespace stats;
 using namespace stats::benchmarks;
 using support::CliArgs;
 
-/**
- * Turn the global trace on before the work it should observe;
- * `requester` names who needs it in the compiled-out error.
- */
-void
-enableTrace(const std::string &requester)
-{
-    obs::Trace::global().enable();
-    // Folds to false when the layer is compiled out.
-    if (!obs::traceActive())
-        support::fatal(requester,
-                       " tracing compiled in "
-                       "(built with STATS_OBS_DISABLE)");
-}
-
-/** The events the global trace holds, and the metrics they derive. */
-struct CollectedTrace
-{
-    std::vector<obs::Event> events;
-    obs::TraceSummary summary;
-
-    static CollectedTrace
-    collect()
-    {
-        auto &trace = obs::Trace::global();
-        CollectedTrace collected;
-        collected.events = trace.collect();
-        collected.summary =
-            obs::summarizeTrace(collected.events, trace.dropped());
-        return collected;
-    }
-
-    void
-    writeChrome(const std::string &path) const
-    {
-        std::ofstream out(path);
-        if (!out)
-            support::fatal("cannot open '", path, "'");
-        obs::writeChromeTrace(out, events);
-        std::cout << "wrote " << events.size() << " trace events to "
-                  << path << " (load in chrome://tracing)\n";
-    }
-};
-
-/**
- * Observability options shared by `run` and `tune`: when `--trace` or
- * `--metrics` is given, the global trace is enabled before the work
- * happens and `finish()` exports the collected events afterwards.
- */
-struct ObsOptions
-{
-    std::string tracePath;
-    std::string metricsPath;
-
-    static ObsOptions
-    fromArgs(const CliArgs &args)
-    {
-        ObsOptions options;
-        options.tracePath = args.get("trace", "");
-        options.metricsPath = args.get("metrics", "");
-        if (options.active())
-            enableTrace("--trace/--metrics need");
-        return options;
-    }
-
-    bool active() const
-    {
-        return !tracePath.empty() || !metricsPath.empty();
-    }
-
-    void
-    finish() const
-    {
-        if (!active())
-            return;
-        const CollectedTrace trace = CollectedTrace::collect();
-        obs::fillRegistry(trace.summary,
-                          obs::MetricsRegistry::global());
-        if (!tracePath.empty())
-            trace.writeChrome(tracePath);
-        if (!metricsPath.empty()) {
-            std::ofstream out(metricsPath);
-            if (!out)
-                support::fatal("cannot open '", metricsPath, "'");
-            obs::writeSummaryJson(out, trace.summary);
-            std::cout << "wrote metrics to " << metricsPath << "\n";
-        }
-        obs::printSummaryTable(std::cout, trace.summary);
-    }
-};
-
 replay::RecordLog
 loadLog(const std::string &path)
 {
@@ -231,110 +138,6 @@ loadLog(const std::string &path)
         support::fatal(path, ": ", error);
     return std::move(*log);
 }
-
-/**
- * Record/replay + fault-injection options shared by `run` and `tune`
- * (docs/REPLAY.md). Lifecycle: fromArgs() loads the log and installs
- * the fault plan, metadata defaults may then be consulted, start()
- * flips the global session on, finish() saves the recording or
- * reports the replay verdict (the process exit code).
- */
-struct ReplayOptions
-{
-    std::string recordPath;
-    std::string replayPath;
-    replay::RecordLog log; ///< Loaded log; consumed by start().
-
-    bool recording() const { return !recordPath.empty(); }
-    bool replaying() const { return !replayPath.empty(); }
-
-    static ReplayOptions
-    fromArgs(const CliArgs &args)
-    {
-        ReplayOptions options;
-        options.recordPath = args.get("record", "");
-        options.replayPath = args.get("replay", "");
-        if (options.recording() && options.replaying())
-            support::fatal("--record and --replay are exclusive");
-        const std::string fault_spec = args.get("faults", "");
-        if (!fault_spec.empty()) {
-            std::string error;
-            auto plan = replay::FaultPlan::fromSpec(fault_spec, error);
-            if (!plan)
-                support::fatal(error);
-            replay::ReplaySession::global().setFaultPlan(*plan);
-            std::cout << "fault plan: " << plan->describe() << "\n";
-        }
-        if (options.replaying())
-            options.log = loadLog(options.replayPath);
-        return options;
-    }
-
-    /**
-     * A recorded command-line default: on replay, options not given
-     * explicitly fall back to what the recording stored.
-     */
-    std::string
-    recorded(const CliArgs &args, const std::string &key,
-             const std::string &fallback) const
-    {
-        return args.get(key, replaying() ? log.meta(key, fallback)
-                                         : fallback);
-    }
-
-    /** Begin the session; returns the effective root seed. */
-    std::uint64_t
-    start(std::uint64_t requested_seed)
-    {
-        auto &session = replay::ReplaySession::global();
-        if (replaying()) {
-            const std::uint64_t seed = log.rootSeed;
-            session.startReplay(std::move(log));
-            return seed;
-        }
-        if (recording()) {
-            std::uint64_t seed = requested_seed;
-            if (seed == 0) {
-                // Entropy seeding cannot be reproduced; pin the run.
-                seed = 1;
-                std::cout << "note: --record without --seed; pinning "
-                             "root seed to 1 for determinism\n";
-            }
-            session.startRecording(seed);
-            return seed;
-        }
-        return requested_seed;
-    }
-
-    /** Save/verify; returns the process exit code (1 = divergence). */
-    int
-    finish() const
-    {
-        auto &session = replay::ReplaySession::global();
-        if (recording()) {
-            const replay::RecordLog recorded =
-                session.finishRecording();
-            recorded.saveFile(recordPath);
-            std::cout << "recorded " << recorded.records.size()
-                      << " choice points (" << recorded.runCount()
-                      << " engine runs, seed " << recorded.rootSeed
-                      << ") to " << recordPath << "\n";
-            return 0;
-        }
-        if (replaying()) {
-            const replay::ReplayReport report = session.finishReplay();
-            if (report.diverged) {
-                std::cout << "replay DIVERGED: "
-                          << report.first.describe() << "\n";
-                return 1;
-            }
-            std::cout << "replay OK: matched " << report.recordsMatched
-                      << " choice points across " << report.runsReplayed
-                      << " engine runs\n";
-        }
-        return 0;
-    }
-};
 
 Mode
 parseMode(const std::string &word)
@@ -364,14 +167,14 @@ parseWorkload(const std::string &word)
  * recording supplies any option the command line omits.
  */
 RunRequest
-parseRunRequest(const CliArgs &args, const ReplayOptions &replay)
+parseRunRequest(const CliArgs &args, const replay::RunSession &session)
 {
     RunRequest request;
-    request.mode = parseMode(replay.recorded(args, "mode", "par"));
+    request.mode = parseMode(session.recorded(args, "mode", "par"));
     request.threads = support::intValue(
-        "threads", replay.recorded(args, "threads", "28"), 1);
+        "threads", session.recorded(args, "threads", "28"), 1);
     request.workload =
-        parseWorkload(replay.recorded(args, "workload", "rep"));
+        parseWorkload(session.recorded(args, "workload", "rep"));
     return request;
 }
 
@@ -408,32 +211,25 @@ cmdList(const CliArgs &)
 int
 cmdRun(const CliArgs &args)
 {
-    ReplayOptions replay_options = ReplayOptions::fromArgs(args);
+    replay::RunSession session(args);
     // On replay the recording itself supplies the benchmark and any
     // option not overridden on the command line.
     const std::string bench_name =
         !args.positional().empty()
             ? args.positional()[0]
-            : replay_options.log.meta("benchmark", "");
+            : session.recorded(args, "benchmark", "");
     if (bench_name.empty())
         support::fatal("usage: statscc run <benchmark> [options]");
     auto bench = createBenchmark(bench_name);
-    const ObsOptions obs_options = ObsOptions::fromArgs(args);
 
-    RunRequest request = parseRunRequest(args, replay_options);
-    const std::uint64_t root_seed = replay_options.start(
-        support::u64Value("seed",
-                          replay_options.recorded(args, "seed", "0")));
+    RunRequest request = parseRunRequest(args, session);
+    const std::uint64_t root_seed = session.start(0);
     applyRootSeed(request, root_seed);
-    if (replay_options.recording()) {
-        auto &session = replay::ReplaySession::global();
-        session.setMetadata("benchmark", bench->name());
-        session.setMetadata("mode", args.get("mode", "par"));
-        session.setMetadata("threads",
-                            std::to_string(request.threads));
-        session.setMetadata("workload", args.get("workload", "rep"));
-        session.setMetadata("seed", std::to_string(root_seed));
-    }
+    session.setMetadata("benchmark", bench->name());
+    session.setMetadata("mode", args.get("mode", "par"));
+    session.setMetadata("threads", std::to_string(request.threads));
+    session.setMetadata("workload", args.get("workload", "rep"));
+    session.setMetadata("seed", std::to_string(root_seed));
 
     const RunResult result = bench->run(request);
     const auto oracle =
@@ -454,8 +250,7 @@ cmdRun(const CliArgs &args)
               << " aborts=" << stats.aborts
               << " extra-work=" << 100.0 * stats.extraWorkFraction()
               << "%\n";
-    obs_options.finish();
-    return replay_options.finish();
+    return session.finish();
 }
 
 std::string
@@ -503,12 +298,13 @@ cmdTrace(const CliArgs &args)
                        "' (expected all|engine|sched)");
     const auto limit =
         static_cast<std::size_t>(args.getInt("limit", 64, 0));
-    RunRequest request = parseRunRequest(args, ReplayOptions{});
-    applyRootSeed(request, args.getU64("seed", 0));
+    replay::RunSession session(args);
+    RunRequest request = parseRunRequest(args, session);
+    applyRootSeed(request, session.start(0));
 
-    enableTrace("statscc trace needs");
+    replay::enableTrace("statscc trace needs");
     const RunResult result = bench->run(request);
-    const CollectedTrace trace = CollectedTrace::collect();
+    const replay::TraceCapture trace = replay::TraceCapture::collect();
     const auto &events = trace.events;
 
     std::cout << bench->name() << " [" << modeName(request.mode) << ", "
@@ -550,11 +346,9 @@ cmdTrace(const CliArgs &args)
     printSchedulerFooter(events);
 
     const std::string chrome_path = args.get("chrome", "");
-    if (!chrome_path.empty()) {
-        std::cout << "\n";
+    if (!chrome_path.empty())
         trace.writeChrome(chrome_path);
-    }
-    return 0;
+    return session.finish();
 }
 
 int
@@ -563,8 +357,7 @@ cmdTune(const CliArgs &args)
     if (args.positional().empty())
         support::fatal("usage: statscc tune <benchmark> [options]");
     auto bench = createBenchmark(args.positional()[0]);
-    ReplayOptions replay_options = ReplayOptions::fromArgs(args);
-    const ObsOptions obs_options = ObsOptions::fromArgs(args);
+    replay::RunSession session(args);
 
     const Mode mode = parseMode(args.get("mode", "par"));
     const int threads = args.getInt("threads", 28, 1);
@@ -574,20 +367,18 @@ cmdTune(const CliArgs &args)
                                : profiler::Objective::Time;
     const std::string db_path = args.get("db", "");
 
-    const std::uint64_t root_seed =
-        replay_options.start(args.getU64("seed", 1));
+    const std::uint64_t root_seed = session.start(1);
     const support::SeedSequence seeds(root_seed);
-    if (replay_options.recording()) {
-        auto &session = replay::ReplaySession::global();
-        session.setMetadata("benchmark", bench->name());
-        session.setMetadata("command", "tune");
-        session.setMetadata("seed", std::to_string(root_seed));
-    }
+    session.setMetadata("benchmark", bench->name());
+    session.setMetadata("command", "tune");
+    session.setMetadata("seed", std::to_string(root_seed));
 
     sim::MachineConfig machine;
-    profiler::Profiler profiler(*bench, mode, threads, machine,
-                                parseWorkload(args.get("workload",
-                                                       "rep")));
+    profiler::Profiler profiler(
+        *bench, mode, threads, machine,
+        parseWorkload(args.get("workload", "rep")),
+        /*workload_seed=*/1, /*repetitions=*/2,
+        root_seed == 0 ? 0 : seeds.derive("run"));
     autotuner::Autotuner tuner(bench->stateSpace(threads),
                                seeds.derive("tuner"));
 
@@ -641,8 +432,7 @@ cmdTune(const CliArgs &args)
         std::cout << "wrote " << result.audit.size()
                   << " audit entries to " << audit_path << "\n";
     }
-    obs_options.finish();
-    return replay_options.finish();
+    return session.finish();
 }
 
 int

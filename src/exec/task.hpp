@@ -84,16 +84,6 @@ struct Task
      * the cancel token fired first. Untagged tasks are not traced.
      */
     obs::TaskTag tag;
-
-    /**
-     * When true (the default), `onComplete` runs inside the executor's
-     * serialized commit lane — at most one such callback executes at a
-     * time, so the speculation engine mutates its bookkeeping there
-     * without locks. Tasks whose completion is pure bookkeeping local
-     * to the callback may set this false to bypass the lane entirely
-     * and complete lock-free.
-     */
-    bool serialCompletion = true;
 };
 
 /**

@@ -142,11 +142,6 @@ ThreadExecutor::runRecord(TaskRecord *rec, bool cancelled)
         releaseRecord(rec); // Pure execution: completes lock-free.
         return;
     }
-    if (!task.serialCompletion) {
-        task.onComplete();
-        releaseRecord(rec);
-        return;
-    }
     commitEnqueue(rec);
 }
 

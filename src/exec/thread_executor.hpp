@@ -17,8 +17,8 @@
  *    bounded lock-free freelist), so the pool closure captures only
  *    {executor, record} — 16 bytes, inside the job wrapper's inline
  *    storage. No heap allocation per submission after warm-up.
- *  - the commit lane — the serialized region completion callbacks of
- *    tasks with `serialCompletion == true` run in — is a lock-free
+ *  - the commit lane — the serialized region every completion
+ *    callback runs in — is a lock-free
  *    MPSC stack with a combining drainer instead of a mutex: a
  *    finishing worker pushes its record (one CAS) and either becomes
  *    the drainer or hands the callback to the current one and goes
@@ -28,8 +28,7 @@
  *
  * At most one completion callback executes at a time, matching the
  * simulator's semantics so the speculation engine runs unmodified on
- * either executor. Tasks with no callback — or with
- * `serialCompletion == false` — never touch the lane.
+ * either executor. Tasks with no callback never touch the lane.
  */
 
 #pragma once

@@ -177,15 +177,6 @@ MetricsRegistry::writeJson(std::ostream &out, bool pretty) const
 }
 
 void
-MetricsRegistry::clear()
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _counters.clear();
-    _gauges.clear();
-    _histograms.clear();
-}
-
-void
 MetricsRegistry::resetValues()
 {
     std::lock_guard<std::mutex> lock(_mutex);

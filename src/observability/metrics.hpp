@@ -99,7 +99,7 @@ class Histogram
 
 /**
  * Named metric registry. Lookup-or-create is mutex-guarded;
- * returned references remain valid until clear().
+ * returned references stay valid for the registry's lifetime.
  */
 class MetricsRegistry
 {
@@ -120,9 +120,6 @@ class MetricsRegistry
      * {"counters": {...}, "gauges": {...}, "histograms": {...}}.
      */
     void writeJson(std::ostream &out, bool pretty = true) const;
-
-    /** Remove every metric (invalidates previously returned refs). */
-    void clear();
 
     /** Zero every metric, keeping registrations (and refs) alive. */
     void resetValues();

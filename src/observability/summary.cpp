@@ -103,30 +103,6 @@ summarizeTrace(const std::vector<Event> &events,
 }
 
 void
-fillRegistry(const TraceSummary &summary, MetricsRegistry &registry)
-{
-    for (int i = 0; i < kEventTypeCount; ++i) {
-        const auto type = static_cast<EventType>(i);
-        auto &counter = registry.counter(std::string("spec.events.") +
-                                         eventTypeName(type));
-        counter.add(summary.count(type) - counter.value());
-    }
-    registry.gauge("spec.commitRate").set(summary.commitRate);
-    registry.gauge("spec.squashRate").set(summary.squashRate);
-    registry.gauge("spec.reexecsPerGroup").set(summary.reexecsPerGroup);
-    registry.gauge("spec.frontierStallSeconds")
-        .set(summary.frontierStallSeconds);
-    registry.gauge("spec.validationLatencyMeanSeconds")
-        .set(summary.validationLatencyMean());
-    registry.gauge("spec.validationLatencyMaxSeconds")
-        .set(summary.validationLatencyMax);
-    registry.gauge("spec.auxSeconds").set(summary.auxSeconds);
-    registry.gauge("spec.bodySeconds").set(summary.bodySeconds);
-    registry.gauge("spec.reexecSeconds").set(summary.reexecSeconds);
-    registry.gauge("spec.recoverySeconds").set(summary.recoverySeconds);
-}
-
-void
 writeSummaryJson(std::ostream &out, const TraceSummary &summary,
                  bool pretty)
 {

@@ -3,8 +3,8 @@
  * Aggregation of a collected trace into the speculation metrics the
  * evaluation cares about: commit/squash rates, re-executions per
  * group, frontier stall time, validation latency, and per-kind work
- * time. The same numbers can be pushed into a MetricsRegistry,
- * dumped as JSON (the `--metrics` file), or printed as a table.
+ * time. The same numbers can be dumped as JSON (the `--metrics`
+ * file) or printed as a table.
  *
  * Every derived quantity is defined in docs/OBSERVABILITY.md
  * ("Derived metrics"); tests reconcile the counts against the
@@ -18,7 +18,6 @@
 #include <ostream>
 #include <vector>
 
-#include "observability/metrics.hpp"
 #include "observability/trace.hpp"
 
 namespace stats::obs {
@@ -83,9 +82,6 @@ struct TraceSummary
 /** Aggregate a seq-sorted event list (as returned by collect()). */
 TraceSummary summarizeTrace(const std::vector<Event> &events,
                             std::uint64_t dropped_events = 0);
-
-/** Push the summary into a registry under the "spec." prefix. */
-void fillRegistry(const TraceSummary &summary, MetricsRegistry &registry);
 
 /** The `--metrics` JSON document: summary + per-type counts. */
 void writeSummaryJson(std::ostream &out, const TraceSummary &summary,

@@ -2,6 +2,7 @@
 
 #include "observability/metrics.hpp"
 #include "support/json.hpp"
+#include "support/seed_sequence.hpp"
 
 namespace stats::profiler {
 
@@ -9,10 +10,12 @@ Profiler::Profiler(benchmarks::Benchmark &benchmark,
                    benchmarks::Mode mode, int threads,
                    const sim::MachineConfig &machine,
                    benchmarks::WorkloadKind workload,
-                   std::uint64_t workload_seed, int repetitions)
+                   std::uint64_t workload_seed, int repetitions,
+                   std::uint64_t run_seed)
     : _benchmark(benchmark), _mode(mode), _threads(threads),
       _machine(machine), _workload(workload),
-      _workloadSeed(workload_seed), _repetitions(std::max(1, repetitions))
+      _workloadSeed(workload_seed), _repetitions(std::max(1, repetitions)),
+      _runSeed(run_seed)
 {
     _oracle = _benchmark.oracleSignature(_workload, _workloadSeed);
 }
@@ -38,6 +41,10 @@ Profiler::profile(const tradeoff::Configuration &config)
         request.machine = _machine;
         request.workload = _workload;
         request.workloadSeed = _workloadSeed;
+        if (_runSeed != 0) {
+            request.runSeed = support::SeedSequence(_runSeed).derive(
+                "repetition", static_cast<std::uint64_t>(rep));
+        }
         const benchmarks::RunResult result = _benchmark.run(request);
         total.seconds += result.virtualSeconds;
         total.energyJoules += result.energyJoules;

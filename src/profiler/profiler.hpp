@@ -57,12 +57,17 @@ class Profiler
     /**
      * @param repetitions runs averaged per configuration (the paper
      *                    repeats runs to tighten confidence)
+     * @param run_seed    nonzero pins every profiled run: repetition
+     *                    r runs under a seed derived from (run_seed,
+     *                    r), the same for every configuration. 0 lets
+     *                    runs draw entropy.
      */
     Profiler(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
              int threads, const sim::MachineConfig &machine,
              benchmarks::WorkloadKind workload = benchmarks::
                  WorkloadKind::Representative,
-             std::uint64_t workload_seed = 1, int repetitions = 2);
+             std::uint64_t workload_seed = 1, int repetitions = 2,
+             std::uint64_t run_seed = 0);
 
     /**
      * Run one configuration, averaging repetitions. Measurements are
@@ -105,6 +110,7 @@ class Profiler
     benchmarks::WorkloadKind _workload;
     std::uint64_t _workloadSeed;
     int _repetitions;
+    std::uint64_t _runSeed;
     std::vector<double> _oracle;
     std::map<tradeoff::Configuration, Measurement> _cache;
     std::vector<ConfigSnapshot> _snapshots;

@@ -82,7 +82,7 @@ decodeStats(const std::vector<std::int64_t> &payload)
 }
 
 // ---------------------------------------------------------------------
-// Varint codec
+// Byte codec
 // ---------------------------------------------------------------------
 
 void
@@ -125,6 +125,53 @@ zigzagDecode(std::uint64_t value)
            -static_cast<std::int64_t>(value & 1);
 }
 
+void
+putSigned(std::string &out, std::int64_t value)
+{
+    putVarint(out, zigzagEncode(value));
+}
+
+bool
+getSigned(const std::string &in, std::size_t &pos, std::int64_t &value)
+{
+    std::uint64_t raw = 0;
+    if (!getVarint(in, pos, raw))
+        return false;
+    value = zigzagDecode(raw);
+    return true;
+}
+
+void
+putString(std::string &out, const std::string &value)
+{
+    putVarint(out, value.size());
+    out.append(value);
+}
+
+bool
+getString(const std::string &in, std::size_t &pos, std::string &value)
+{
+    std::uint64_t size = 0;
+    // `size > in.size() - pos` instead of `pos + size > in.size()`:
+    // the latter wraps for a huge declared size.
+    if (!getVarint(in, pos, size) || size > in.size() - pos)
+        return false;
+    value.assign(in, pos, size);
+    pos += size;
+    return true;
+}
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
 // ---------------------------------------------------------------------
 // RecordLog
 // ---------------------------------------------------------------------
@@ -162,30 +209,6 @@ RecordLog::runCount() const
     return runs;
 }
 
-namespace {
-
-void
-putString(std::string &out, const std::string &value)
-{
-    putVarint(out, value.size());
-    out.append(value);
-}
-
-bool
-getString(const std::string &in, std::size_t &pos, std::string &value)
-{
-    std::uint64_t size = 0;
-    // `size > in.size() - pos` instead of `pos + size > in.size()`:
-    // the latter wraps for a huge declared size.
-    if (!getVarint(in, pos, size) || size > in.size() - pos)
-        return false;
-    value.assign(in, pos, size);
-    pos += size;
-    return true;
-}
-
-} // namespace
-
 std::string
 RecordLog::saveToString() const
 {
@@ -203,12 +226,12 @@ RecordLog::saveToString() const
         out.push_back(static_cast<char>(record.kind));
         putVarint(out, record.run);
         putVarint(out, record.epoch);
-        putVarint(out, zigzagEncode(record.group));
-        putVarint(out, zigzagEncode(record.a));
-        putVarint(out, zigzagEncode(record.b));
+        putSigned(out, record.group);
+        putSigned(out, record.a);
+        putSigned(out, record.b);
         putVarint(out, record.payload.size());
         for (std::int64_t word : record.payload)
-            putVarint(out, zigzagEncode(word));
+            putSigned(out, word);
     }
     out.append(kTrailer, sizeof(kTrailer));
     return out;
@@ -294,31 +317,29 @@ RecordLog::load(std::istream &in, std::string &error)
             return std::nullopt;
         }
         record.kind = static_cast<RecordKind>(kind);
-        std::uint64_t run = 0, epoch = 0, group = 0, a = 0, b = 0;
-        std::uint64_t payload_size = 0;
+        std::uint64_t run = 0, epoch = 0, payload_size = 0;
+        std::int64_t group = 0;
         if (!getVarint(bytes, pos, run) ||
             !getVarint(bytes, pos, epoch) ||
-            !getVarint(bytes, pos, group) ||
-            !getVarint(bytes, pos, a) || !getVarint(bytes, pos, b) ||
+            !getSigned(bytes, pos, group) ||
+            !getSigned(bytes, pos, record.a) ||
+            !getSigned(bytes, pos, record.b) ||
             !getVarint(bytes, pos, payload_size)) {
             error = "truncated at record " + std::to_string(i);
             return std::nullopt;
         }
         record.run = static_cast<std::uint32_t>(run);
         record.epoch = static_cast<std::uint32_t>(epoch);
-        record.group =
-            static_cast<std::int32_t>(zigzagDecode(group));
-        record.a = zigzagDecode(a);
-        record.b = zigzagDecode(b);
+        record.group = static_cast<std::int32_t>(group);
         record.payload.reserve(payload_size);
         for (std::uint64_t w = 0; w < payload_size; ++w) {
-            std::uint64_t word = 0;
-            if (!getVarint(bytes, pos, word)) {
+            std::int64_t word = 0;
+            if (!getSigned(bytes, pos, word)) {
                 error = "truncated payload at record " +
                         std::to_string(i);
                 return std::nullopt;
             }
-            record.payload.push_back(zigzagDecode(word));
+            record.payload.push_back(word);
         }
         log.records.push_back(std::move(record));
     }

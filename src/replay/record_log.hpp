@@ -151,7 +151,8 @@ struct RecordLog
 };
 
 // ---------------------------------------------------------------------
-// Varint codec (exposed for tests; the log format building block)
+// Byte codec: the building blocks of the log format, shared with the
+// serving plane's wire frames and serialized plans.
 // ---------------------------------------------------------------------
 
 /** Append a LEB128-encoded unsigned value. */
@@ -164,5 +165,25 @@ bool getVarint(const std::string &in, std::size_t &pos,
 /** Zigzag mapping for signed values. */
 std::uint64_t zigzagEncode(std::int64_t value);
 std::int64_t zigzagDecode(std::uint64_t value);
+
+/** Append a signed value as a zigzag varint. */
+void putSigned(std::string &out, std::int64_t value);
+
+/** Decode a zigzag varint; advances `pos`. False on truncation. */
+bool getSigned(const std::string &in, std::size_t &pos,
+               std::int64_t &value);
+
+/** Append a varint length followed by the bytes of `value`. */
+void putString(std::string &out, const std::string &value);
+
+/**
+ * Decode a length-prefixed string; advances `pos`. False on
+ * truncation or a declared length past the end of `in`.
+ */
+bool getString(const std::string &in, std::size_t &pos,
+               std::string &value);
+
+/** 64-bit FNV-1a digest of `bytes`. */
+std::uint64_t fnv1a(const std::string &bytes);
 
 } // namespace stats::replay

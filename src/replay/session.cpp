@@ -137,12 +137,6 @@ ReplaySession::setFaultPlan(FaultPlan plan)
 }
 
 std::uint64_t
-ReplaySession::rootSeed() const
-{
-    return _log.rootSeed;
-}
-
-std::uint64_t
 ReplaySession::faultCount(FaultKind kind) const
 {
     return _faultCounts[static_cast<int>(kind)].load(

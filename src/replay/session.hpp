@@ -146,9 +146,6 @@ class ReplaySession
         return mode() != Mode::Off || faultsActive();
     }
 
-    /** Root seed of the log being recorded or replayed. */
-    std::uint64_t rootSeed() const;
-
     /** Replay-so-far state (valid in Replay mode). */
     bool diverged() const { return _diverged; }
     const Divergence &firstDivergence() const { return _first; }

@@ -12,62 +12,17 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'T', 'P', 'L'};
 
+using replay::fnv1a;
+using replay::getSigned;
+using replay::getString;
 using replay::getVarint;
+using replay::putSigned;
+using replay::putString;
 using replay::putVarint;
-using replay::zigzagDecode;
-using replay::zigzagEncode;
-
-void
-putString(std::string &out, const std::string &s)
-{
-    putVarint(out, s.size());
-    out += s;
-}
-
-bool
-getString(const std::string &in, std::size_t &pos, std::string &out)
-{
-    std::uint64_t size = 0;
-    // `size > in.size() - pos` instead of `pos + size > in.size()`:
-    // the latter wraps for a huge declared size.
-    if (!getVarint(in, pos, size) || size > in.size() - pos)
-        return false;
-    out = in.substr(pos, size);
-    pos += size;
-    return true;
-}
-
-void
-putSigned(std::string &out, std::int64_t value)
-{
-    putVarint(out, zigzagEncode(value));
-}
-
-bool
-getSigned(const std::string &in, std::size_t &pos, std::int64_t &value)
-{
-    std::uint64_t raw = 0;
-    if (!getVarint(in, pos, raw))
-        return false;
-    value = zigzagDecode(raw);
-    return true;
-}
 
 /** testonly::forceCompatibilityKey state. */
 std::atomic<bool> gForcedKeySet{false};
 std::atomic<std::uint64_t> gForcedKey{0};
-
-/** FNV-1a over a byte string: the compatibility key. */
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
 
 const char *
 tierWord(ir::ExecTier tier)

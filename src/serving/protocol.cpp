@@ -11,28 +11,6 @@ namespace stats::serving {
 
 namespace {
 
-void
-putString(std::string &out, const std::string &value)
-{
-    replay::putVarint(out, value.size());
-    out += value;
-}
-
-bool
-getString(const std::string &in, std::size_t &pos, std::string &value)
-{
-    std::uint64_t length = 0;
-    if (!replay::getVarint(in, pos, length))
-        return false;
-    // Overflow-safe: pos <= in.size() after getVarint, and a huge
-    // length must not wrap `pos + length` past the bounds check.
-    if (length > in.size() - pos)
-        return false;
-    value = in.substr(pos, length);
-    pos += length;
-    return true;
-}
-
 bool
 readAll(int fd, void *buffer, std::size_t bytes)
 {
@@ -125,7 +103,7 @@ encodeSubmitRejected(const AdmissionVerdict &verdict)
     replay::putVarint(
         body, static_cast<std::uint64_t>(
                   verdict.retryAfterSeconds * 1000.0));
-    putString(body, verdict.detail);
+    replay::putString(body, verdict.detail);
     return body;
 }
 
@@ -139,7 +117,7 @@ decodeSubmitRejected(const std::string &body,
     if (!replay::getVarint(body, pos, reason) ||
         reason >= static_cast<std::uint64_t>(kRejectReasonCount) ||
         !replay::getVarint(body, pos, retry_ms) ||
-        !getString(body, pos, verdict.detail))
+        !replay::getString(body, pos, verdict.detail))
         return false;
     verdict.reason = static_cast<RejectReason>(reason);
     verdict.retryAfterSeconds =
@@ -154,10 +132,9 @@ encodeResult(const RequestStatus &status)
     replay::putVarint(body,
                       static_cast<std::uint64_t>(status.state));
     replay::putVarint(body, status.result.ok ? 1 : 0);
-    putString(body, status.result.error);
-    putString(body, status.result.resultBlob);
-    replay::putVarint(
-        body, replay::zigzagEncode(status.result.finalState));
+    replay::putString(body, status.result.error);
+    replay::putString(body, status.result.resultBlob);
+    replay::putSigned(body, status.result.finalState);
     replay::putVarint(
         body,
         static_cast<std::uint64_t>(status.result.invocations));
@@ -173,20 +150,20 @@ decodeResult(const std::string &body, RequestStatus &status)
     std::size_t pos = 0;
     std::uint64_t state = 0;
     std::uint64_t ok = 0;
-    std::uint64_t final_state = 0;
+    std::int64_t final_state = 0;
     std::uint64_t invocations = 0;
     std::uint64_t lanes = 0;
     if (!replay::getVarint(body, pos, state) || state > 5 ||
         !replay::getVarint(body, pos, ok) ||
-        !getString(body, pos, status.result.error) ||
-        !getString(body, pos, status.result.resultBlob) ||
-        !replay::getVarint(body, pos, final_state) ||
+        !replay::getString(body, pos, status.result.error) ||
+        !replay::getString(body, pos, status.result.resultBlob) ||
+        !replay::getSigned(body, pos, final_state) ||
         !replay::getVarint(body, pos, invocations) ||
         !replay::getVarint(body, pos, lanes))
         return false;
     status.state = static_cast<RequestState>(state);
     status.result.ok = ok != 0;
-    status.result.finalState = replay::zigzagDecode(final_state);
+    status.result.finalState = final_state;
     status.result.invocations =
         static_cast<std::int64_t>(invocations);
     status.result.batchedLanes = static_cast<int>(lanes);
@@ -215,7 +192,7 @@ encodeStatus(const RequestStatus &status)
     std::string body;
     replay::putVarint(body,
                       static_cast<std::uint64_t>(status.state));
-    putString(body, status.tenant);
+    replay::putString(body, status.tenant);
     return body;
 }
 
@@ -226,7 +203,7 @@ decodeStatus(const std::string &body, RequestState &state,
     std::size_t pos = 0;
     std::uint64_t raw = 0;
     if (!replay::getVarint(body, pos, raw) || raw > 5 ||
-        !getString(body, pos, tenant))
+        !replay::getString(body, pos, tenant))
         return false;
     state = static_cast<RequestState>(raw);
     return pos == body.size();

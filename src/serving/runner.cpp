@@ -29,7 +29,7 @@ encodeStates(const std::vector<long long> &states)
     std::string out;
     replay::putVarint(out, states.size());
     for (const long long state : states)
-        replay::putVarint(out, replay::zigzagEncode(state));
+        replay::putSigned(out, state);
     return out;
 }
 

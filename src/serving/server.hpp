@@ -7,9 +7,10 @@
  * The daemon (daemon.hpp) is a thin socket front-end over this class;
  * tests drive it directly. A pool of *execution workers*
  * (`Options.executionWorkers`) pulls fused batches from the
- * scheduler; record/replay state is scoped per run (each execution
- * installs its own thread-local ReplaySession), so independent plans
- * execute concurrently without mode-flip races. A compatibility-aware
+ * scheduler; record/replay state is scoped per run (the runner hands
+ * a plan that records or injects faults a private ReplaySession of
+ * its own), so independent plans execute concurrently without
+ * mode-flip races. A compatibility-aware
  * in-flight limit keeps two batchable same-key dispatches from
  * running at once — late same-key arrivals accumulate into one
  * bigger fusion instead.

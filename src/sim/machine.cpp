@@ -1,7 +1,6 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace stats::sim {
 
@@ -46,17 +45,6 @@ spansSockets(const std::vector<LogicalCore> &placement)
             return true;
     }
     return false;
-}
-
-std::string
-describe(const MachineConfig &config)
-{
-    std::ostringstream out;
-    out << config.sockets << " socket(s) x " << config.coresPerSocket
-        << " cores" << (config.hyperThreading ? " (2-way HT)" : "")
-        << ", NUMA mem penalty " << config.numaMemPenalty
-        << ", HT speed factor " << config.htSpeedFactor;
-    return out.str();
 }
 
 } // namespace stats::sim

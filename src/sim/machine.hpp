@@ -81,7 +81,4 @@ std::vector<LogicalCore> placeThreads(const MachineConfig &config,
 /** True if the placement uses more than one socket. */
 bool spansSockets(const std::vector<LogicalCore> &placement);
 
-/** Human-readable one-line description. */
-std::string describe(const MachineConfig &config);
-
 } // namespace stats::sim

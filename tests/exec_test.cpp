@@ -126,21 +126,6 @@ TEST_P(ExecutorContract, SubmitBatchRunsEveryTaskAndCallback)
     EXPECT_EQ(completed, 16);
 }
 
-TEST_P(ExecutorContract, NonSerialCompletionStillCompletes)
-{
-    auto ex = makeExecutor(GetParam(), 4);
-    std::atomic<int> completed{0};
-    for (int i = 0; i < 16; ++i) {
-        exec::Task task;
-        task.serialCompletion = false; // Bypasses the commit lane.
-        task.run = [] { return exec::Work{1e-6, 0.0}; };
-        task.onComplete = [&completed] { completed.fetch_add(1); };
-        ex->submit(std::move(task));
-    }
-    ex->drain();
-    EXPECT_EQ(completed.load(), 16);
-}
-
 INSTANTIATE_TEST_SUITE_P(RealAndSimulated, ExecutorContract,
                          ::testing::Values(false, true),
                          [](const auto &info) {
