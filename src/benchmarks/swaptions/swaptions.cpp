@@ -62,6 +62,72 @@ makeWorkload(WorkloadKind kind, std::uint64_t seed)
     return workload;
 }
 
+namespace {
+
+/**
+ * Trials advanced together as lanes. A block's shocks, rates and
+ * floored-rate sums (or float discounts) take 7 KB, so they stay in
+ * L1 while the block runs.
+ */
+constexpr int kLanes = 64;
+
+/** One block's lanes, structure of arrays. */
+struct LaneBlock
+{
+    /** shock[step][lane]: the block's draws, transposed. */
+    double shock[kPathSteps][kLanes];
+    double rate[kLanes];
+    /** The floored-rate sum, or the float discount under that
+     *  tradeoff. */
+    double discount[kLanes];
+};
+
+/**
+ * Advance `lanes` trials' short-rate paths (Vasicek dynamics) one
+ * step at a time across all lanes. Each lane runs the same IEEE
+ * operations, in the same order, as one trial run alone; the tradeoff
+ * branches are hoisted out of the lane loops.
+ */
+template <bool FloatRate, bool FloatDiscount>
+void
+advanceLanes(LaneBlock &block, int lanes, const SwaptionTerms &terms,
+             double dt, double sqrt_dt)
+{
+    // Locals, so the lane loops need not reload them after each store.
+    const double mean_reversion = terms.meanReversion;
+    const double long_term_rate = terms.longTermRate;
+    const double vol_sqrt_dt = terms.volatility * sqrt_dt;
+    for (int lane = 0; lane < lanes; ++lane) {
+        block.rate[lane] = terms.rate0;
+        // The double discount is one exp of the summed floored rates;
+        // the float tradeoff keeps its per-step rounded product.
+        block.discount[lane] = FloatDiscount ? 1.0 : 0.0;
+    }
+    for (int step = 0; step < kPathSteps; ++step) {
+        const double *shock = block.shock[step];
+        for (int lane = 0; lane < lanes; ++lane) {
+            double rate = block.rate[lane];
+            rate += mean_reversion * (long_term_rate - rate) * dt +
+                    vol_sqrt_dt * shock[lane];
+            if (FloatRate)
+                rate = static_cast<float>(rate);
+            if (FloatDiscount)
+                block.discount[lane] = static_cast<float>(
+                    block.discount[lane] *
+                    std::exp(-std::max(rate, -0.5) * dt));
+            else
+                block.discount[lane] += std::max(rate, -0.5);
+            block.rate[lane] = rate;
+        }
+    }
+    if (!FloatDiscount) {
+        for (int lane = 0; lane < lanes; ++lane)
+            block.discount[lane] = std::exp(-dt * block.discount[lane]);
+    }
+}
+
+} // namespace
+
 double
 simulateBatch(PriceState &state, const Batch &batch,
               const SwaptionTerms &terms, const McParams &params,
@@ -75,32 +141,30 @@ simulateBatch(PriceState &state, const Batch &batch,
 
     const double dt = terms.maturityYears / kPathSteps;
     const double sqrt_dt = std::sqrt(dt);
-    for (int trial = 0; trial < batch.trials; ++trial) {
-        // Mean-reverting short-rate path (Vasicek dynamics).
-        double rate = terms.rate0;
-        double discount = 1.0;
-        // The double discount is one exp of the summed floored rates;
-        // the float tradeoff keeps its per-step rounded product.
-        double rate_sum = 0.0;
-        for (int step = 0; step < kPathSteps; ++step) {
-            const double shock = rng.gaussian();
-            rate += terms.meanReversion * (terms.longTermRate - rate) * dt +
-                    terms.volatility * sqrt_dt * shock;
-            if (params.floatRatePath)
-                rate = static_cast<float>(rate);
-            if (params.floatDiscount)
-                discount = static_cast<float>(
-                    discount * std::exp(-std::max(rate, -0.5) * dt));
-            else
-                rate_sum += std::max(rate, -0.5);
+    const auto advance =
+        params.floatRatePath
+            ? (params.floatDiscount ? advanceLanes<true, true>
+                                    : advanceLanes<true, false>)
+            : (params.floatDiscount ? advanceLanes<false, true>
+                                    : advanceLanes<false, false>);
+    LaneBlock block;
+    for (int first = 0; first < batch.trials; first += kLanes) {
+        const int lanes = std::min(kLanes, batch.trials - first);
+        // Draw in trial order, as one trial after another would.
+        for (int lane = 0; lane < lanes; ++lane) {
+            for (int step = 0; step < kPathSteps; ++step)
+                block.shock[step][lane] = rng.gaussian();
         }
-        if (!params.floatDiscount)
-            discount = std::exp(-dt * rate_sum);
-        const double payoff =
-            std::max(rate - terms.strike, 0.0) * discount * 100.0;
-        state.sumPayoff += payoff;
-        state.sumSquares += payoff * payoff;
-        ++state.trials;
+        advance(block, lanes, terms, dt, sqrt_dt);
+        // Accumulate in trial order.
+        for (int lane = 0; lane < lanes; ++lane) {
+            const double payoff =
+                std::max(block.rate[lane] - terms.strike, 0.0) *
+                block.discount[lane] * 100.0;
+            state.sumPayoff += payoff;
+            state.sumSquares += payoff * payoff;
+            ++state.trials;
+        }
     }
 
     return static_cast<double>(batch.trials) * kPathSteps * 9.0;

@@ -163,8 +163,24 @@ parseWorkload(const std::string &word)
 }
 
 /**
- * The mode, threads, and workload of `run` and `trace`. On replay the
- * recording supplies any option the command line omits.
+ * The benchmark named on the command line; on replay without one, the
+ * benchmark the recording names.
+ */
+std::unique_ptr<Benchmark>
+benchmarkFrom(const CliArgs &args, const replay::RunSession &session,
+              const char *command)
+{
+    const std::string name = !args.positional().empty()
+                                 ? args.positional()[0]
+                                 : session.recorded(args, "benchmark", "");
+    if (name.empty())
+        support::fatal("usage: statscc ", command, " <benchmark> [options]");
+    return createBenchmark(name);
+}
+
+/**
+ * The mode, threads, and workload of `run`, `trace` and `tune`. On
+ * replay the recording supplies any option the command line omits.
  */
 RunRequest
 parseRunRequest(const CliArgs &args, const replay::RunSession &session)
@@ -212,15 +228,7 @@ int
 cmdRun(const CliArgs &args)
 {
     replay::RunSession session(args);
-    // On replay the recording itself supplies the benchmark and any
-    // option not overridden on the command line.
-    const std::string bench_name =
-        !args.positional().empty()
-            ? args.positional()[0]
-            : session.recorded(args, "benchmark", "");
-    if (bench_name.empty())
-        support::fatal("usage: statscc run <benchmark> [options]");
-    auto bench = createBenchmark(bench_name);
+    auto bench = benchmarkFrom(args, session, "run");
 
     RunRequest request = parseRunRequest(args, session);
     const std::uint64_t root_seed = session.start(0);
@@ -354,15 +362,15 @@ cmdTrace(const CliArgs &args)
 int
 cmdTune(const CliArgs &args)
 {
-    if (args.positional().empty())
-        support::fatal("usage: statscc tune <benchmark> [options]");
-    auto bench = createBenchmark(args.positional()[0]);
     replay::RunSession session(args);
+    auto bench = benchmarkFrom(args, session, "tune");
 
-    const Mode mode = parseMode(args.get("mode", "par"));
-    const int threads = args.getInt("threads", 28, 1);
-    const int budget = args.getInt("budget", 60);
-    const auto objective = args.get("objective", "time") == "energy"
+    const RunRequest request = parseRunRequest(args, session);
+    const int budget = support::intValue(
+        "budget", session.recorded(args, "budget", "60"));
+    const std::string objective_name =
+        session.recorded(args, "objective", "time");
+    const auto objective = objective_name == "energy"
                                ? profiler::Objective::Energy
                                : profiler::Objective::Time;
     const std::string db_path = args.get("db", "");
@@ -371,15 +379,19 @@ cmdTune(const CliArgs &args)
     const support::SeedSequence seeds(root_seed);
     session.setMetadata("benchmark", bench->name());
     session.setMetadata("command", "tune");
+    session.setMetadata("mode", args.get("mode", "par"));
+    session.setMetadata("threads", std::to_string(request.threads));
+    session.setMetadata("budget", std::to_string(budget));
+    session.setMetadata("workload", args.get("workload", "rep"));
+    session.setMetadata("objective", objective_name);
     session.setMetadata("seed", std::to_string(root_seed));
 
     sim::MachineConfig machine;
     profiler::Profiler profiler(
-        *bench, mode, threads, machine,
-        parseWorkload(args.get("workload", "rep")),
+        *bench, request.mode, request.threads, machine, request.workload,
         /*workload_seed=*/1, /*repetitions=*/2,
         root_seed == 0 ? 0 : seeds.derive("run"));
-    autotuner::Autotuner tuner(bench->stateSpace(threads),
+    autotuner::Autotuner tuner(bench->stateSpace(request.threads),
                                seeds.derive("tuner"));
 
     // Reuse a previous exploration of the same objective, if any.

@@ -2,10 +2,43 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "support/log.hpp"
 
 namespace stats::replay {
+
+namespace {
+
+/** "sdThreads 4 → 8, inputCount 32 → 34": each field that differs. */
+std::string
+configChanges(const RunConfigRecord &expected,
+              const RunConfigRecord &actual)
+{
+    using Field = std::int64_t RunConfigRecord::*;
+    static constexpr std::pair<const char *, Field> kFields[] = {
+        {"useAuxiliary", &RunConfigRecord::useAuxiliary},
+        {"groupSize", &RunConfigRecord::groupSize},
+        {"auxWindow", &RunConfigRecord::auxWindow},
+        {"maxReexecutions", &RunConfigRecord::maxReexecutions},
+        {"rollbackDepth", &RunConfigRecord::rollbackDepth},
+        {"sdThreads", &RunConfigRecord::sdThreads},
+        {"innerThreads", &RunConfigRecord::innerThreads},
+        {"inputCount", &RunConfigRecord::inputCount},
+    };
+    std::string out;
+    for (const auto &[name, field] : kFields) {
+        if (expected.*field == actual.*field)
+            continue;
+        out += (out.empty() ? "" : ", ") + std::string(name) + " " +
+               std::to_string(expected.*field) + " → " +
+               std::to_string(actual.*field);
+    }
+    return out;
+}
+
+} // namespace
 
 std::string
 Divergence::describe() const
@@ -26,6 +59,13 @@ Divergence::describe() const
         out << " group " << actualGroup;
     if (expectedValue != actualValue)
         out << " (value " << actualValue << ")";
+    if (expectedKind == RecordKind::RunBegin &&
+        actualKind == RecordKind::RunBegin) {
+        const auto expected = decodeConfig(expectedPayload);
+        const auto actual = decodeConfig(actualPayload);
+        if (expected && actual && *expected != *actual)
+            out << ": " << configChanges(*expected, *actual);
+    }
     return out.str();
 }
 
@@ -167,6 +207,7 @@ ReplaySession::reportDivergence(const Record *expected,
         _first.expectedKind = expected->kind;
         _first.expectedGroup = expected->group;
         _first.expectedValue = expected->a;
+        _first.expectedPayload = expected->payload;
     } else {
         // Log exhausted: the recording ended before the execution did.
         _first.expectedKind = RecordKind::RunEnd;
@@ -176,6 +217,7 @@ ReplaySession::reportDivergence(const Record *expected,
     _first.actualKind = actual.kind;
     _first.actualGroup = actual.group;
     _first.actualValue = actual.a;
+    _first.actualPayload = actual.payload;
 }
 
 void

@@ -68,13 +68,18 @@ struct Divergence
     RecordKind expectedKind = RecordKind::Commit;
     std::int32_t expectedGroup = -1;
     std::int64_t expectedValue = 0;
+    std::vector<std::int64_t> expectedPayload;
 
     /** What the execution actually did. */
     RecordKind actualKind = RecordKind::Commit;
     std::int32_t actualGroup = -1;
     std::int64_t actualValue = 0;
+    std::vector<std::int64_t> actualPayload;
 
-    /** Human-readable one-liner. */
+    /**
+     * Human-readable one-liner. Two RunBegins name each configuration
+     * field that differs, e.g. "sdThreads 4 → 8".
+     */
     std::string describe() const;
 };
 

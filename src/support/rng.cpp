@@ -13,54 +13,6 @@ std::atomic<std::uint64_t> deterministicBase{0};
 std::atomic<bool> deterministicEnabled{false};
 std::atomic<std::uint64_t> seedCounter{0};
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-// Ziggurat constants for 128 layers of equal area kZigV under the
-// standard normal's unnormalized density f(x) = exp(-x^2 / 2), with
-// the base layer's tail starting at kZigR (Marsaglia & Tsang 2000).
-constexpr std::size_t kZigLayers = 128;
-constexpr double kZigR = 3.442619855899;
-constexpr double kZigV = 9.91256303526217e-3;
-
-struct ZigguratTables
-{
-    /** Layer right edges, decreasing: x[0] = kZigV / f(kZigR) is the
-     *  base layer's virtual width, x[1] = kZigR, x[kZigLayers] = 0. */
-    std::array<double, kZigLayers + 1> x;
-    /** f(x[i]). */
-    std::array<double, kZigLayers + 1> f;
-    /** x[i + 1] / x[i]: the share of layer i under the curve. */
-    std::array<double, kZigLayers> ratio;
-};
-
-// Built on first use, never at namespace scope: a static initializer
-// elsewhere that draws a normal must not see zeroed tables.
-const ZigguratTables &
-zigguratTables()
-{
-    static const ZigguratTables tables = [] {
-        ZigguratTables t{};
-        double f = std::exp(-0.5 * kZigR * kZigR);
-        t.x[0] = kZigV / f;
-        t.x[1] = kZigR;
-        t.x[kZigLayers] = 0.0;
-        for (std::size_t i = 2; i < kZigLayers; ++i) {
-            t.x[i] = std::sqrt(-2.0 * std::log(kZigV / t.x[i - 1] + f));
-            f = std::exp(-0.5 * t.x[i] * t.x[i]);
-        }
-        for (std::size_t i = 0; i <= kZigLayers; ++i)
-            t.f[i] = std::exp(-0.5 * t.x[i] * t.x[i]);
-        for (std::size_t i = 0; i < kZigLayers; ++i)
-            t.ratio[i] = t.x[i + 1] / t.x[i];
-        return t;
-    }();
-    return tables;
-}
-
 // Starting state of this thread's unpinned entropy stream.
 std::uint64_t
 threadEntropyState()
@@ -76,6 +28,29 @@ threadEntropyState()
 }
 
 } // namespace
+
+namespace detail {
+
+ZigguratTables
+buildZigguratTables()
+{
+    ZigguratTables t{};
+    double f = std::exp(-0.5 * kZigR * kZigR);
+    t.x[0] = kZigV / f;
+    t.x[1] = kZigR;
+    t.x[kZigLayers] = 0.0;
+    for (std::size_t i = 2; i < kZigLayers; ++i) {
+        t.x[i] = std::sqrt(-2.0 * std::log(kZigV / t.x[i - 1] + f));
+        f = std::exp(-0.5 * t.x[i] * t.x[i]);
+    }
+    for (std::size_t i = 0; i <= kZigLayers; ++i)
+        t.f[i] = std::exp(-0.5 * t.x[i] * t.x[i]);
+    for (std::size_t i = 0; i < kZigLayers; ++i)
+        t.ratio[i] = t.x[i + 1] / t.x[i];
+    return t;
+}
+
+} // namespace detail
 
 std::uint64_t
 splitmix64(std::uint64_t &state)
@@ -98,20 +73,6 @@ Xoshiro256::seed(std::uint64_t seed_value)
     std::uint64_t sm = seed_value;
     for (auto &word : _s)
         word = splitmix64(sm);
-}
-
-Xoshiro256::result_type
-Xoshiro256::operator()()
-{
-    const std::uint64_t result = rotl(_s[1] * 5, 7) * 9;
-    const std::uint64_t t = _s[1] << 17;
-    _s[2] ^= _s[0];
-    _s[3] ^= _s[1];
-    _s[1] ^= _s[2];
-    _s[0] ^= _s[3];
-    _s[2] ^= t;
-    _s[3] = rotl(_s[3], 45);
-    return result;
 }
 
 double
@@ -144,37 +105,29 @@ Xoshiro256::uniformInt(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Xoshiro256::gaussian()
+Xoshiro256::gaussianOverhang(std::size_t layer, double u)
 {
+    using namespace detail;
     const ZigguratTables &zig = zigguratTables();
-    for (;;) {
-        // Doornik's fix: the layer index (low 7 bits) and the uniform
-        // (high 53 bits) come from disjoint bits of one draw.
-        const std::uint64_t bits = (*this)();
-        const std::size_t layer = bits & (kZigLayers - 1);
-        const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
-        // |x| < x[layer + 1]: the part of the layer under the curve.
-        if (std::fabs(u) < zig.ratio[layer])
-            return u * zig.x[layer];
-        if (layer == 0) {
-            // The base layer's overhang is the tail beyond kZigR.
-            // Marsaglia's tail method; 1 - nextDouble() is in (0, 1].
-            double x = 0.0, y = 0.0;
-            do {
-                x = std::log(1.0 - nextDouble()) / kZigR;
-                y = std::log(1.0 - nextDouble());
-            } while (-2.0 * y < x * x);
-            return u < 0.0 ? x - kZigR : kZigR - x;
-        }
-        // A wedge between the curve and the rectangle: accept when a
-        // uniform height in [f(x[layer]), f(x[layer + 1])] is under
-        // the curve.
-        const double x = u * zig.x[layer];
-        const double y = zig.f[layer] +
-                         nextDouble() * (zig.f[layer + 1] - zig.f[layer]);
-        if (y < std::exp(-0.5 * x * x))
-            return x;
+    if (layer == 0) {
+        // The base layer's overhang is the tail beyond kZigR.
+        // Marsaglia's tail method; 1 - nextDouble() is in (0, 1].
+        double x = 0.0, y = 0.0;
+        do {
+            x = std::log(1.0 - nextDouble()) / kZigR;
+            y = std::log(1.0 - nextDouble());
+        } while (-2.0 * y < x * x);
+        return u < 0.0 ? x - kZigR : kZigR - x;
     }
+    // A wedge between the curve and the rectangle: accept when a
+    // uniform height in [f(x[layer]), f(x[layer + 1])] is under the
+    // curve, else start over with a fresh draw.
+    const double x = u * zig.x[layer];
+    const double y =
+        zig.f[layer] + nextDouble() * (zig.f[layer + 1] - zig.f[layer]);
+    if (y < std::exp(-0.5 * x * x))
+        return x;
+    return gaussian();
 }
 
 double

@@ -12,12 +12,53 @@
 #pragma once
 
 #include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace stats::support {
 
 /** splitmix64 step, used to expand a single seed into a full state. */
 std::uint64_t splitmix64(std::uint64_t &state);
+
+namespace detail {
+
+// Ziggurat constants for 128 layers of equal area kZigV under the
+// standard normal's unnormalized density f(x) = exp(-x^2 / 2), with
+// the base layer's tail starting at kZigR (Marsaglia & Tsang 2000).
+inline constexpr std::size_t kZigLayers = 128;
+inline constexpr double kZigR = 3.442619855899;
+inline constexpr double kZigV = 9.91256303526217e-3;
+
+struct ZigguratTables
+{
+    /** Layer right edges, decreasing: x[0] = kZigV / f(kZigR) is the
+     *  base layer's virtual width, x[1] = kZigR, x[kZigLayers] = 0. */
+    std::array<double, kZigLayers + 1> x;
+    /** f(x[i]). */
+    std::array<double, kZigLayers + 1> f;
+    /** x[i + 1] / x[i]: the share of layer i under the curve. */
+    std::array<double, kZigLayers> ratio;
+};
+
+ZigguratTables buildZigguratTables();
+
+// Built on first use, never at namespace scope: a static initializer
+// elsewhere that draws a normal must not see zeroed tables.
+inline const ZigguratTables &
+zigguratTables()
+{
+    static const ZigguratTables tables = buildZigguratTables();
+    return tables;
+}
+
+inline std::uint64_t
+rotl(std::uint64_t x, int k)
+{
+    return (x << k) | (x >> (64 - k));
+}
+
+} // namespace detail
 
 /**
  * xoshiro256** generator.
@@ -38,7 +79,19 @@ class Xoshiro256
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type(0); }
 
-    result_type operator()();
+    result_type
+    operator()()
+    {
+        const std::uint64_t result = detail::rotl(_s[1] * 5, 7) * 9;
+        const std::uint64_t t = _s[1] << 17;
+        _s[2] ^= _s[0];
+        _s[3] ^= _s[1];
+        _s[1] ^= _s[2];
+        _s[0] ^= _s[3];
+        _s[2] ^= t;
+        _s[3] = detail::rotl(_s[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double nextDouble();
@@ -57,9 +110,22 @@ class Xoshiro256
      * with Doornik's ZIGNOR fix: the layer index and the uniform come
      * from disjoint bits of one draw). Exact for the normal
      * distribution; ~99% of calls take one draw, one multiply and one
-     * compare.
+     * compare, inline; the tail and the wedges are out of line.
      */
-    double gaussian();
+    double
+    gaussian()
+    {
+        const detail::ZigguratTables &zig = detail::zigguratTables();
+        // Doornik's fix: the layer index (low 7 bits) and the uniform
+        // (high 53 bits) come from disjoint bits of one draw.
+        const std::uint64_t bits = (*this)();
+        const std::size_t layer = bits & (detail::kZigLayers - 1);
+        const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
+        // |x| < x[layer + 1]: the part of the layer under the curve.
+        if (std::fabs(u) < zig.ratio[layer])
+            return u * zig.x[layer];
+        return gaussianOverhang(layer, u);
+    }
 
     /** Normal with given mean and standard deviation. */
     double gaussian(double mean, double stddev);
@@ -68,6 +134,9 @@ class Xoshiro256
     void seed(std::uint64_t seed);
 
   private:
+    /** gaussian() when the draw lands outside the layer's core. */
+    double gaussianOverhang(std::size_t layer, double u);
+
     std::array<std::uint64_t, 4> _s;
 };
 

@@ -492,6 +492,175 @@ TEST(SwaptionsKernel, DiscountMatchesPerStepProduct)
     }
 }
 
+namespace per_trial {
+
+using namespace stats::benchmarks::swaptions;
+
+/**
+ * simulateBatch as it stood before the lane-parallel batch: one
+ * trial's whole path after another, drawing each shock as it goes.
+ */
+double
+simulateBatch(PriceState &state, const Batch &batch,
+              const SwaptionTerms &terms, const McParams &params,
+              support::Xoshiro256 &rng)
+{
+    if (state.swaption != batch.swaption) {
+        // A new swaption's simulation begins: fresh accumulator.
+        state = PriceState{};
+        state.swaption = batch.swaption;
+    }
+
+    const double dt = terms.maturityYears / kPathSteps;
+    const double sqrt_dt = std::sqrt(dt);
+    for (int trial = 0; trial < batch.trials; ++trial) {
+        // Mean-reverting short-rate path (Vasicek dynamics).
+        double rate = terms.rate0;
+        double discount = 1.0;
+        // The double discount is one exp of the summed floored rates;
+        // the float tradeoff keeps its per-step rounded product.
+        double rate_sum = 0.0;
+        for (int step = 0; step < kPathSteps; ++step) {
+            const double shock = rng.gaussian();
+            rate += terms.meanReversion * (terms.longTermRate - rate) * dt +
+                    terms.volatility * sqrt_dt * shock;
+            if (params.floatRatePath)
+                rate = static_cast<float>(rate);
+            if (params.floatDiscount)
+                discount = static_cast<float>(
+                    discount * std::exp(-std::max(rate, -0.5) * dt));
+            else
+                rate_sum += std::max(rate, -0.5);
+        }
+        if (!params.floatDiscount)
+            discount = std::exp(-dt * rate_sum);
+        const double payoff =
+            std::max(rate - terms.strike, 0.0) * discount * 100.0;
+        state.sumPayoff += payoff;
+        state.sumSquares += payoff * payoff;
+        ++state.trials;
+    }
+
+    return static_cast<double>(batch.trials) * kPathSteps * 9.0;
+}
+
+} // namespace per_trial
+
+/** Byte-for-byte equality of two accumulators. */
+::testing::AssertionResult
+sameBits(const swaptions::PriceState &a, const swaptions::PriceState &b)
+{
+    if (a.swaption != b.swaption || a.trials != b.trials)
+        return ::testing::AssertionFailure()
+               << "swaption/trials " << a.swaption << "/" << a.trials
+               << " vs " << b.swaption << "/" << b.trials;
+    if (std::memcmp(&a.sumPayoff, &b.sumPayoff, sizeof(double)) != 0 ||
+        std::memcmp(&a.sumSquares, &b.sumSquares, sizeof(double)) != 0)
+        return ::testing::AssertionFailure()
+               << "sums " << a.sumPayoff << ", " << a.sumSquares << " vs "
+               << b.sumPayoff << ", " << b.sumSquares;
+    return ::testing::AssertionSuccess();
+}
+
+TEST(SwaptionsKernel, MatchesPerTrialReference)
+{
+    // Every swaption of both workload kinds under every tradeoff pair,
+    // two batches each (the second adds to nonzero sums). Odd trial
+    // counts leave a partial block of lanes.
+    using namespace stats::benchmarks::swaptions;
+    for (const auto kind :
+         {WorkloadKind::Representative, WorkloadKind::NonRepresentative}) {
+        const auto workload = makeWorkload(kind, 3);
+        for (const bool float_rate : {false, true}) {
+            for (const bool float_discount : {false, true}) {
+                const McParams params{float_rate, float_discount};
+                for (const int trials : {1, 7, 48, 480}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "kind " << static_cast<int>(kind)
+                                 << ", float rate " << float_rate
+                                 << ", float discount " << float_discount
+                                 << ", trials " << trials);
+                    support::Xoshiro256 rng(11), reference_rng(11);
+                    PriceState state, reference;
+                    for (int s = 0; s < kSwaptions; ++s) {
+                        const auto &terms =
+                            workload.terms[static_cast<std::size_t>(s)];
+                        for (int b = 0; b < 2; ++b) {
+                            const Batch batch{s, b, trials};
+                            const double ops = simulateBatch(
+                                state, batch, terms, params, rng);
+                            const double reference_ops =
+                                per_trial::simulateBatch(reference, batch,
+                                                         terms, params,
+                                                         reference_rng);
+                            ASSERT_EQ(ops, reference_ops) << "swaption " << s;
+                            ASSERT_TRUE(sameBits(state, reference))
+                                << "swaption " << s << ", batch " << b;
+                        }
+                    }
+                    EXPECT_EQ(rng(), reference_rng());
+                }
+            }
+        }
+    }
+}
+
+TEST(SwaptionsKernel, ConcurrentBatchesMatchSerial)
+{
+    // Four threads price different batch sizes under different
+    // tradeoffs at once; each must end exactly where the same run
+    // ends when the runs go one after another.
+    using namespace stats::benchmarks::swaptions;
+    constexpr int kThreads = 4;
+    const auto run = [](int t) {
+        const auto workload =
+            makeWorkload(WorkloadKind::Representative,
+                         static_cast<std::uint64_t>(t + 1));
+        const int trials = 480 - 133 * t;
+        const McParams params{t % 2 == 1, t >= 2};
+        support::Xoshiro256 rng(200 + static_cast<std::uint64_t>(t));
+        std::vector<PriceState> states(kSwaptions);
+        for (int s = 0; s < kSwaptions; ++s) {
+            for (int b = 0; b < 4; ++b) {
+                simulateBatch(states[static_cast<std::size_t>(s)],
+                              Batch{s, b, trials},
+                              workload.terms[static_cast<std::size_t>(s)],
+                              params, rng);
+            }
+        }
+        return states;
+    };
+
+    std::vector<std::vector<PriceState>> serial;
+    for (int t = 0; t < kThreads; ++t)
+        serial.push_back(run(t));
+
+    std::vector<std::vector<PriceState>> concurrent(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            concurrent[static_cast<std::size_t>(t)] = run(t);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+        for (int s = 0; s < kSwaptions; ++s) {
+            EXPECT_TRUE(sameBits(
+                serial[static_cast<std::size_t>(t)]
+                      [static_cast<std::size_t>(s)],
+                concurrent[static_cast<std::size_t>(t)]
+                          [static_cast<std::size_t>(s)]))
+                << "thread " << t << ", swaption " << s;
+        }
+    }
+}
+
 TEST(StreamclusterKernel, RespectsClusterBounds)
 {
     using namespace stats::benchmarks::streamcluster;

@@ -663,6 +663,38 @@ TEST_F(ReplaySessionTest, TruncatedLogDivergesWhenRecordsRemain)
     EXPECT_TRUE(report.diverged);
 }
 
+TEST_F(ReplaySessionTest, ConfigDivergenceNamesEachChangedField)
+{
+    // A run recorded with 4 speculative threads, replayed with 8: the
+    // very first RunBegin differs, and the report says in what.
+    const std::vector<int> inputs = makeInputs(20);
+    const auto run = [&inputs](int sd_threads) {
+        SpecConfig config = toyConfig();
+        config.sdThreads = sd_threads;
+        exec::SimExecutor ex(simMachine(), 8);
+        Engine engine(ex, inputs, ToyState{},
+                      makeCompute(nullptr), makeCompute(nullptr),
+                      exactAnyMatcher(), config);
+        engine.start();
+        engine.join();
+    };
+    auto &session = replay::ReplaySession::global();
+    session.startRecording(77);
+    run(4);
+    session.startReplay(session.finishRecording());
+    run(8);
+    const replay::ReplayReport report = session.finishReplay();
+
+    ASSERT_TRUE(report.diverged);
+    EXPECT_EQ(report.first.run, 0u);
+    EXPECT_EQ(report.first.epoch, 0u);
+    EXPECT_EQ(report.first.expectedKind, replay::RecordKind::RunBegin);
+    EXPECT_EQ(report.first.actualKind, replay::RecordKind::RunBegin);
+    EXPECT_EQ(report.first.describe(),
+              "run 0 epoch 0: expected RunBegin, got RunBegin: "
+              "sdThreads 4 → 8");
+}
+
 TEST_F(ReplaySessionTest, FaultedRecordingReplaysExactlyUnderSamePlan)
 {
     auto &session = replay::ReplaySession::global();
