@@ -30,7 +30,9 @@
  *    `engineAllocsPerTask` reports what little heap traffic is left
  *    (zero in steady state).
  *
- * Output: a table plus BENCH_scheduler.json. CI runs `--smoke
+ * Output: a table plus BENCH_scheduler.json, which also records the
+ * host: the CPUs in the affinity mask and the involuntary context
+ * switches over the run (`--check` prints both). CI runs `--smoke
  * --check=<baseline>` and fails when, at ANY measured worker count,
  *  - submit latency regresses by more than `--factor` (default 2x)
  *    against the checked-in baseline's per-worker `check_w<N>_...`
@@ -54,6 +56,9 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sched.h>
+#include <sys/resource.h>
 
 #include "common/command_line.hpp"
 #include "exec/thread_executor.hpp"
@@ -224,6 +229,37 @@ struct Result
     double engineTasksPerSec = 0.0;    ///< Engine-shaped pipeline.
     double engineAllocsPerTask = 0.0;  ///< Steady-state heap allocs.
 };
+
+/**
+ * What the host gave the run: a gate failure reads differently on one
+ * allowed CPU, or under heavy preemption, than on a quiet multi-core
+ * host (the submit-latency baseline describes one CPU).
+ */
+struct Environment
+{
+    int cpus = 0; ///< CPUs in this process's affinity mask.
+    std::int64_t involuntaryCtxSwitches = 0; ///< Preemptions in the run.
+};
+
+/** CPUs this process may run on (sched_getaffinity), 0 if unknown. */
+int
+allowedCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return 0;
+    return CPU_COUNT(&set);
+}
+
+/** Involuntary context switches of this process so far (getrusage). */
+std::int64_t
+involuntaryCtxSwitches()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_nivcsw;
+}
 
 /** The measured job: touches one cache line, no allocation. */
 inline void
@@ -461,8 +497,8 @@ runConfig(int workers, std::size_t tasks)
                 task.onComplete = [this, rec] {
                     // Commit: the lane serializes these, so the
                     // counter needs no lock — and the next window is
-                    // submitted from a worker thread, taking the
-                    // pool's continuation fast path.
+                    // submitted from a worker thread, as the engine
+                    // submits from its commit callbacks.
                     sink->fetch_add(rec->digest & 1,
                                     std::memory_order_relaxed);
                     if (toSubmit > 0)
@@ -511,13 +547,15 @@ runConfig(int workers, std::size_t tasks)
 
 void
 writeJson(std::ostream &out, const std::vector<Result> &results,
-          std::size_t tasks, bool smoke)
+          std::size_t tasks, bool smoke, const Environment &env)
 {
     stats::support::JsonWriter json(out, true);
     json.beginObject();
     json.field("benchmark", "micro_scheduler")
         .field("smoke", smoke)
-        .field("tasksPerConfig", tasks);
+        .field("tasksPerConfig", tasks)
+        .field("cpus", env.cpus)
+        .field("involuntaryCtxSwitches", env.involuntaryCtxSwitches);
     json.key("results").beginArray();
     for (const Result &r : results) {
         json.beginObject()
@@ -575,9 +613,14 @@ main(int argc, char **argv)
     const double factor = args.getDouble("factor", 2.0);
 
     const std::size_t tasks = smoke ? 20000 : 200000;
+    Environment env;
+    env.cpus = allowedCpus();
+    const std::int64_t switches_before = involuntaryCtxSwitches();
     std::vector<Result> results;
     for (int workers : {1, 2, 4, 8})
         results.push_back(runConfig(workers, tasks));
+    env.involuntaryCtxSwitches =
+        involuntaryCtxSwitches() - switches_before;
 
     stats::support::TextTable table(
         {"workers", "submit ns", "batch ns", "ext tasks/s", "ext x",
@@ -608,12 +651,15 @@ main(int argc, char **argv)
                       << "\n";
             return 1;
         }
-        writeJson(out, results, tasks, smoke);
+        writeJson(out, results, tasks, smoke, env);
         std::cout << "wrote " << out_path << "\n";
     }
 
     if (!check_path.empty()) {
         const stats::benchx::Baseline baseline(check_path);
+        std::cout << "check environment: " << env.cpus
+                  << " cpus, " << env.involuntaryCtxSwitches
+                  << " involuntary context switches\n";
         // The gate holds at EVERY measured worker count, not just the
         // widest: submit latency is bounded relative to the baseline,
         // and the speedup/allocation floors are absolute (they ARE

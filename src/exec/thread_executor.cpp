@@ -5,6 +5,7 @@
 
 #include "observability/trace.hpp"
 #include "replay/session.hpp"
+#include "support/log.hpp"
 
 namespace stats::exec {
 
@@ -17,8 +18,8 @@ constexpr std::size_t kRecordCacheCapacity = 1024;
 
 /**
  * One in-flight task. The Task body lives here (not in the pool
- * closure) so the closure stays pointer-sized; `next` links the
- * record through the commit lane while its callback waits its turn.
+ * token); `next` links the record through the commit lane while its
+ * callback waits its turn.
  */
 struct ThreadExecutor::TaskRecord
 {
@@ -68,26 +69,52 @@ ThreadExecutor::releaseRecord(TaskRecord *rec)
 }
 
 /**
- * Adapt an exec::Task to a pool task. The Task moves into a recycled
- * record exactly once and the pool closure captures only
- * {this, record} — 16 bytes, always inside the job wrapper's inline
- * storage, so the submit path performs no heap allocation in steady
- * state. The cancel token is shared with the pool so cancellation is
- * checked before dispatch (a cancelled task never occupies a worker
- * with real work; the pool hands us `cancelled` so onComplete still
- * fires).
+ * Move an exec::Task into a recycled record and add it to the ready
+ * queue, keyed by (group, submission order). Untagged tasks carry
+ * group -1 and therefore go first.
  */
-threading::PoolTask
-ThreadExecutor::wrap(Task task)
+void
+ThreadExecutor::pushReady(Task task)
 {
     TaskRecord *rec = acquireRecord();
     rec->task = std::move(task);
+    const std::int32_t group = rec->task.tag.group;
+    std::lock_guard<std::mutex> lock(_readyMutex);
+    _ready.push({group, _readySeq++, rec});
+}
+
+/**
+ * One interchangeable pool token. The pool closure captures only the
+ * executor — always inside the job wrapper's inline storage, so the
+ * submit path performs no heap allocation in steady state.
+ */
+threading::PoolTask
+ThreadExecutor::token()
+{
     threading::PoolTask pooled;
-    pooled.cancel = rec->task.cancel;
-    pooled.run = [this, rec](bool cancelled) {
-        runRecord(rec, cancelled);
-    };
+    pooled.run = [this](bool) { runNext(); };
     return pooled;
+}
+
+/**
+ * Body of every token: take the oldest group's ready record and run
+ * it. Each submission pushes its record before its token, so the
+ * queue is never empty here. Cancellation is checked at the pop: a
+ * cancelled record skips its body but still completes.
+ */
+void
+ThreadExecutor::runNext()
+{
+    TaskRecord *rec;
+    {
+        std::lock_guard<std::mutex> lock(_readyMutex);
+        if (_ready.empty())
+            support::panic("ThreadExecutor: token without a ready task");
+        rec = _ready.top().rec;
+        _ready.pop();
+    }
+    const CancelToken &cancel = rec->task.cancel;
+    runRecord(rec, cancel && cancel->load(std::memory_order_acquire));
 }
 
 void
@@ -232,17 +259,20 @@ ThreadExecutor::drainLane()
 void
 ThreadExecutor::submit(Task task)
 {
-    _pool.submit(wrap(std::move(task)));
+    pushReady(std::move(task));
+    threading::PoolTask pooled = token();
+    _pool.inject({&pooled, 1});
 }
 
 void
 ThreadExecutor::submitBatch(std::vector<Task> tasks)
 {
-    std::vector<threading::PoolTask> pooled;
-    pooled.reserve(tasks.size());
     for (auto &task : tasks)
-        pooled.push_back(wrap(std::move(task)));
-    _pool.submitBatch(std::move(pooled));
+        pushReady(std::move(task));
+    std::vector<threading::PoolTask> pooled(tasks.size());
+    for (auto &one : pooled)
+        one = token();
+    _pool.inject(pooled);
 }
 
 void

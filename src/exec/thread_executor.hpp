@@ -6,25 +6,32 @@
  * profiling when real cores are available). Task `width` is advisory
  * here: a real task's inner parallelism lives inside its own code.
  *
- * Dispatch rides the work-stealing thread pool directly: pending
- * accounting, drain(), and the wall clock are the pool's own (a single
- * atomic counter and one steady timer), so this layer adds no locks to
- * the submit or completion fast paths. Two pieces make the whole
- * submit → run → commit round trip allocation- and lock-free in
- * steady state:
+ * Dispatch is frontier-first. STATS commits groups in input order, so
+ * the oldest uncommitted group is always the critical path, and the
+ * work that validates or recovers it must never queue behind new
+ * speculation. Every submitted Task moves into a recycled
+ * `TaskRecord` (a bounded lock-free freelist) and joins one ready
+ * queue shared by all workers, ordered by `Task::tag.group` (untagged
+ * tasks are group -1, so the bootstrap and the conventional run go
+ * first; equal groups keep submission order). The pool only sees
+ * interchangeable tokens: the worker that runs one pops the
+ * lowest-group ready record, checks its cancel token there, and runs
+ * it (a cancelled record skips its body but still completes). Tokens
+ * enter the pool through its shared FIFO injector (`inject`), never
+ * through the submitting worker's next-task slot or deque, so a ready
+ * task never waits behind a busy worker. The queue is a binary heap
+ * under one mutex whose storage keeps its capacity, so the submit →
+ * run → commit round trip stays allocation-free in steady state.
+ * SimExecutor stays strict FIFO (docs/INTERNALS.md §3).
  *
- *  - every submitted Task moves into a recycled `TaskRecord` (a
- *    bounded lock-free freelist), so the pool closure captures only
- *    {executor, record} — 16 bytes, inside the job wrapper's inline
- *    storage. No heap allocation per submission after warm-up.
- *  - the commit lane — the serialized region every completion
- *    callback runs in — is a lock-free
- *    MPSC stack with a combining drainer instead of a mutex: a
- *    finishing worker pushes its record (one CAS) and either becomes
- *    the drainer or hands the callback to the current one and goes
- *    straight back to scheduling. Match-check → commit never blocks
- *    on a pool-wide lock (docs/INTERNALS.md §4 documents the
- *    protocol and why drain() still implies lane-empty).
+ * Completion runs in the commit lane — the serialized region every
+ * completion callback runs in — a lock-free MPSC stack with a
+ * combining drainer instead of a mutex: a finishing worker pushes its
+ * record (one CAS) and either becomes the drainer or hands the
+ * callback to the current one and goes straight back to scheduling.
+ * Match-check → commit never blocks on a pool-wide lock
+ * (docs/INTERNALS.md §4 documents the protocol and why drain() still
+ * implies lane-empty).
  *
  * At most one completion callback executes at a time, matching the
  * simulator's semantics so the speculation engine runs unmodified on
@@ -35,6 +42,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <queue>
+#include <tuple>
+#include <vector>
 
 #include "exec/task.hpp"
 #include "threading/primitives.hpp"
@@ -92,7 +103,25 @@ class ThreadExecutor : public Executor
         threading::MpmcBoundedQueue<TaskRecord *> free;
     };
 
-    threading::PoolTask wrap(Task task);
+    /** A ready record, ordered by (group, submission order). */
+    struct Ready
+    {
+        std::int32_t group;
+        std::uint64_t seq;
+        TaskRecord *rec;
+    };
+    struct RunsLater
+    {
+        bool
+        operator()(const Ready &a, const Ready &b) const
+        {
+            return std::tie(a.group, a.seq) > std::tie(b.group, b.seq);
+        }
+    };
+
+    void pushReady(Task task);
+    threading::PoolTask token();
+    void runNext();
     void runRecord(TaskRecord *rec, bool cancelled);
     TaskRecord *acquireRecord();
     void releaseRecord(TaskRecord *rec);
@@ -100,6 +129,16 @@ class ThreadExecutor : public Executor
     bool drainLane();
 
     RecordPool _records;
+
+    /**
+     * The ready queue every token pops from, lowest group first. Also
+     * declared before the pool: tokens the pool drains at shutdown
+     * still pop records here. The heap's vector keeps its capacity
+     * between tasks, so steady-state pushes do not allocate.
+     */
+    std::mutex _readyMutex;
+    std::priority_queue<Ready, std::vector<Ready>, RunsLater> _ready;
+    std::uint64_t _readySeq = 0; ///< Guarded by `_readyMutex`.
 
     /** Commit lane: Treiber stack head + single-drainer flag. */
     std::atomic<TaskRecord *> _laneHead{nullptr};

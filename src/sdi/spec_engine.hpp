@@ -139,6 +139,17 @@ class SpecEngine
     }
 
     /**
+     * The engine keeps a reference to `inputs` until join() returns,
+     * so a temporary vector would dangle: binding one is a compile
+     * error rather than a use-after-free.
+     */
+    SpecEngine(exec::Executor &executor, std::vector<Input> &&inputs,
+               State initial_state, ComputeFn compute, ComputeFn auxiliary,
+               MatchFn match, SpecConfig config,
+               replay::ReplaySession &session =
+                   replay::ReplaySession::global()) = delete;
+
+    /**
      * Install a batched auxiliary function (must precede start()).
      * Used together with SpecConfig::auxBatchGroups > 1: the initial
      * aux window is then evaluated by ceil(window / auxBatchGroups)

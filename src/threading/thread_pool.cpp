@@ -230,19 +230,21 @@ ThreadPool::submitBatch(std::vector<PoolTask> tasks)
         for (auto &task : tasks)
             enqueue(std::move(task));
     } else {
-        // Fill the lock-free ring, then spill the remainder to the
-        // overflow list under a single lock for the whole batch.
-        std::size_t i = 0;
-        while (i < tasks.size() && _injector.tryPushFrom(tasks[i]))
-            ++i;
-        if (i < tasks.size()) {
-            std::lock_guard<std::mutex> lock(_overflowMutex);
-            for (; i < tasks.size(); ++i)
-                _overflow.push_back(std::move(tasks[i]));
-            _overflowSize.store(_overflow.size(),
-                                std::memory_order_release);
-        }
+        pushShared(tasks);
     }
+    wakeWorkers(tasks.size());
+}
+
+void
+ThreadPool::inject(std::span<PoolTask> tasks)
+{
+    if (tasks.empty())
+        return;
+    for (const auto &task : tasks)
+        if (!task.run)
+            support::panic("ThreadPool::inject: empty job");
+    _pending.fetch_add(tasks.size(), std::memory_order_acq_rel);
+    pushShared(tasks);
     wakeWorkers(tasks.size());
 }
 
@@ -264,17 +266,23 @@ ThreadPool::enqueue(PoolTask task)
         }
         self.deque.push(node);
     } else {
-        pushShared(std::move(task));
+        pushShared({&task, 1});
     }
 }
 
+/** Fill the lock-free ring, then spill the remainder to the overflow
+ * list under a single lock for the whole batch. */
 void
-ThreadPool::pushShared(PoolTask task)
+ThreadPool::pushShared(std::span<PoolTask> tasks)
 {
-    if (_injector.tryPushFrom(task))
+    std::size_t i = 0;
+    while (i < tasks.size() && _injector.tryPushFrom(tasks[i]))
+        ++i;
+    if (i == tasks.size())
         return;
     std::lock_guard<std::mutex> lock(_overflowMutex);
-    _overflow.push_back(std::move(task));
+    for (; i < tasks.size(); ++i)
+        _overflow.push_back(std::move(tasks[i]));
     _overflowSize.store(_overflow.size(), std::memory_order_release);
 }
 

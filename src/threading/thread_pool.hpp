@@ -12,9 +12,10 @@
  *
  *  - each worker owns a Chase–Lev deque (owner push/pop at the
  *    bottom, lock-free steal at the top); jobs submitted from a
- *    worker thread go to its own deque, external submissions go to a
- *    bounded lock-free injector queue (with a mutex-protected
- *    overflow list so submission never blocks or fails);
+ *    worker thread go to its own deque, external submissions — and
+ *    inject(), from any thread — go to a bounded lock-free injector
+ *    queue (with a mutex-protected overflow list so submission never
+ *    blocks or fails);
  *  - a worker that submits while its "next task" slot is empty
  *    bypasses the deque entirely: the task runs immediately after
  *    the current one, so continuation chains (the engine's
@@ -54,6 +55,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -148,6 +150,15 @@ class ThreadPool
     /** Enqueue several tasks with a single wake decision. */
     void submitBatch(std::vector<PoolTask> tasks);
 
+    /**
+     * Enqueue tasks on the shared FIFO injector, from any thread, with
+     * a single wake decision. Unlike submit(), a worker-side call never
+     * uses the submitter's next-task slot or deque, so the tasks are
+     * never stuck behind a busy worker: any idle worker takes them, in
+     * submission order, without stealing.
+     */
+    void inject(std::span<PoolTask> tasks);
+
     /** Block until no submitted job (or job it spawned) remains. */
     void waitIdle();
 
@@ -168,7 +179,7 @@ class ThreadPool
     bool runOneTask(Worker &self);
     TaskNode *tryStealFrom(Worker &self, bool desperate);
     bool popShared(PoolTask &out);
-    void pushShared(PoolTask task);
+    void pushShared(std::span<PoolTask> tasks);
     void enqueue(PoolTask task);
     bool anyWorkVisible() const;
     void wakeWorkers(std::size_t want);

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -131,6 +132,46 @@ INSTANTIATE_TEST_SUITE_P(RealAndSimulated, ExecutorContract,
                          [](const auto &info) {
                              return info.param ? "Simulated" : "Real";
                          });
+
+/**
+ * From inside a completion callback (so every task is queued before
+ * any runs), submit tasks tagged with groups 5, 2, 4 and one untagged
+ * task; return the groups in the order their bodies ran (-1 for the
+ * untagged one).
+ */
+std::vector<int>
+dispatchOrder(exec::Executor &ex)
+{
+    std::vector<int> order; // One worker: bodies never overlap.
+    exec::Task bootstrap;
+    bootstrap.run = [] { return exec::Work{0.0, 0.0}; };
+    bootstrap.onComplete = [&ex, &order] {
+        for (const int group : {5, 2, 4, -1}) {
+            exec::Task task;
+            task.tag.group = group;
+            task.run = [&order, group] {
+                order.push_back(group);
+                return exec::Work{1e-6, 0.0};
+            };
+            ex.submit(std::move(task));
+        }
+    };
+    ex.submit(std::move(bootstrap));
+    ex.drain();
+    return order;
+}
+
+TEST(ThreadExecutorDispatch, LowestGroupRunsFirst)
+{
+    exec::ThreadExecutor ex(1);
+    EXPECT_EQ(dispatchOrder(ex), (std::vector<int>{-1, 2, 4, 5}));
+}
+
+TEST(SimExecutor, DispatchesInSubmissionOrder)
+{
+    exec::SimExecutor ex(sim::MachineConfig{}, 1);
+    EXPECT_EQ(dispatchOrder(ex), (std::vector<int>{5, 2, 4, -1}));
+}
 
 TEST(SimExecutor, VirtualTimeAdvances)
 {

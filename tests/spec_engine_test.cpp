@@ -20,6 +20,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -447,6 +449,64 @@ TEST(SpecEngine, RealThreadsWithAbort)
     engine.join();
     expectOutputsEqual(engine.outputs(), reference(inputs));
     EXPECT_EQ(engine.stats().aborts, 1);
+}
+
+TEST(SpecEngineThreads, ReexecutionRunsBeforeQueuedSpeculation)
+{
+    // Groups of 4 inputs, one aux window in flight. On one worker,
+    // group 0's commit submits group 2's aux window; group 1's aux
+    // result then mismatches and asks for group 0's re-execution. The
+    // re-execution validates the frontier, so it must run before that
+    // newer speculation (which the abort then cancels).
+    const auto inputs = makeInputs(16);
+    std::vector<std::pair<bool, int>> ran; // (auxiliary, input)
+    const Engine::ComputeFn inner = makeCompute(nullptr);
+    const Engine::ComputeFn logged =
+        [&ran, inner](const int &input, ToyState &state,
+                      const sdi::ComputeContext &ctx) {
+            ran.emplace_back(ctx.auxiliary, input);
+            return inner(input, state, ctx);
+        };
+    exec::ThreadExecutor ex(1);
+    SpecConfig config;
+    config.groupSize = 4;
+    config.auxWindow = 1;
+    config.sdThreads = 1;
+    config.rollbackDepth = 1;
+    config.maxReexecutions = 1;
+    Engine engine(ex, inputs, ToyState{}, logged, logged,
+                  sdi::neverMatch<ToyState>(), config);
+    engine.start();
+    engine.join();
+
+    expectOutputsEqual(engine.outputs(), reference(inputs));
+    ASSERT_EQ(engine.stats().reexecutions, 1);
+    // Group 0's re-execution is the second original run of input 4;
+    // group 2's aux window is the auxiliary run of input 8.
+    const auto position = [&ran](bool auxiliary, int input, int nth) {
+        for (std::size_t i = 0; i < ran.size(); ++i)
+            if (ran[i] == std::pair{auxiliary, input} && nth-- == 0)
+                return i;
+        return ran.size();
+    };
+    const std::size_t reexecution = position(false, 4, 1);
+    ASSERT_LT(reexecution, ran.size());
+    EXPECT_LT(reexecution, position(true, 8, 0));
+}
+
+TEST(SpecEngine, RejectsATemporaryInputVector)
+{
+    // The engine keeps a reference to its inputs: a temporary vector
+    // must not bind.
+    static_assert(!std::is_constructible_v<
+                  Engine, exec::Executor &, std::vector<int>, ToyState,
+                  Engine::ComputeFn, Engine::ComputeFn, Engine::MatchFn,
+                  SpecConfig>);
+    static_assert(std::is_constructible_v<
+                  Engine, exec::Executor &, const std::vector<int> &,
+                  ToyState, Engine::ComputeFn, Engine::ComputeFn,
+                  Engine::MatchFn, SpecConfig>);
+    SUCCEED();
 }
 
 TEST(SpecEngine, MultipleDependencesShareOneExecutor)
