@@ -1,24 +1,22 @@
 /**
  * @file
- * Microbenchmark of the work-stealing scheduler's hot path.
+ * Microbenchmark of the thread pool's hot path.
  *
  * Measures, per worker count (1/2/4/8):
  *  - submit latency (ns/task, caller side, external submission),
  *  - batched submit latency (ns/task via submitBatch),
- *  - external submit+drain throughput (tasks/s) for the work-stealing
- *    pool AND for an inline copy of the global-queue pool it replaced,
+ *  - external submit+drain throughput (tasks/s) for the pool AND for
+ *    an inline copy of the global-queue pool it replaced,
  *  - nested submit+drain throughput: continuation chains where every
  *    task spawns its successor from a *worker* thread — the
  *    speculation engine's actual submission pattern (tasks are spawned
  *    from completion callbacks). This is the headline speedup:
- *    worker-side submits hit the submitter's own lock-free deque,
+ *    worker-side submits go through the pool's lock-free injector,
  *    where the legacy pool serializes every nested submit and every
  *    dequeue through one global mutex. Note: the ratio only exceeds 1
  *    when cores actually contend the legacy mutex; on a single-core
  *    host the mutex is uncontended and near the accounting floor, so
  *    expect ~parity there (EXPERIMENTS.md "Scheduler hot path"),
- *  - steal throughput (steals/s) in a forced-steal scenario where one
- *    worker floods its own deque and the others must steal,
  *  - end-to-end ThreadExecutor throughput (tasks/s including the
  *    commit-lane completion callback),
  *  - an engine-shaped pipeline (window task -> match check -> commit):
@@ -31,8 +29,9 @@
  *    (zero in steady state).
  *
  * Output: a table plus BENCH_scheduler.json, which also records the
- * host: the CPUs in the affinity mask and the involuntary context
- * switches over the run (`--check` prints both). CI runs `--smoke
+ * host: the CPUs in the affinity mask, the involuntary context
+ * switches over the run, and the process CPU time over wall time
+ * (`--check` prints all three). CI runs `--smoke
  * --check=<baseline>` and fails when, at ANY measured worker count,
  *  - submit latency regresses by more than `--factor` (default 2x)
  *    against the checked-in baseline's per-worker `check_w<N>_...`
@@ -132,7 +131,7 @@ namespace {
 using stats::support::Timer;
 
 /**
- * The pre-work-stealing thread pool, kept verbatim as the benchmark
+ * The original thread pool, kept verbatim as the benchmark
  * baseline: one mutex-protected global deque, every submit takes the
  * lock and signals the condition variable.
  */
@@ -224,7 +223,6 @@ struct Result
     double nestedTasksPerSec = 0.0;       ///< Worker-side submit+drain.
     double legacyNestedTasksPerSec = 0.0; ///< Same, global-queue pool.
     double speedup = 0.0; ///< Headline: nested (engine pattern) ratio.
-    double stealsPerSec = 0.0;
     double executorTasksPerSec = 0.0;  ///< ThreadExecutor end to end.
     double engineTasksPerSec = 0.0;    ///< Engine-shaped pipeline.
     double engineAllocsPerTask = 0.0;  ///< Steady-state heap allocs.
@@ -239,6 +237,7 @@ struct Environment
 {
     int cpus = 0; ///< CPUs in this process's affinity mask.
     std::int64_t involuntaryCtxSwitches = 0; ///< Preemptions in the run.
+    double cpuToWall = 0.0; ///< Process CPU seconds per wall second.
 };
 
 /** CPUs this process may run on (sched_getaffinity), 0 if unknown. */
@@ -259,6 +258,19 @@ involuntaryCtxSwitches()
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
     return usage.ru_nivcsw;
+}
+
+/** CPU time (user + system) of this process so far, seconds. */
+double
+processCpuSeconds()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto seconds = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+               static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 /** The measured job: touches one cache line, no allocation. */
@@ -286,7 +298,7 @@ runConfig(int workers, std::size_t tasks)
     std::atomic<std::uint64_t> sink{0};
 
     for (int rep = 0; rep < kRepeats; ++rep) {
-        // Work-stealing pool: per-submit latency, then drain.
+        // The pool: per-submit latency, then drain.
         th::ThreadPool pool(workers);
         Timer timer;
         for (std::size_t i = 0; i < tasks; ++i)
@@ -343,10 +355,9 @@ runConfig(int workers, std::size_t tasks)
     for (int rep = 0; rep < kRepeats; ++rep) {
         // Nested submission, continuation chains: every task spawns
         // its successor from the worker thread — the engine's
-        // completion-callback pattern. Worker-side submits hit the
-        // submitter's next-task slot or deque and recycle its node
-        // freelist; the legacy pool below serializes the same pattern
-        // through one global mutex.
+        // completion-callback pattern. Worker-side submits go through
+        // the lock-free injector like any other; the legacy pool
+        // below serializes the same pattern through one global mutex.
         th::ThreadPool pool(workers);
         std::atomic<std::int64_t> remaining{
             static_cast<std::int64_t>(tasks)}; // Signed: the racing
@@ -409,25 +420,6 @@ runConfig(int workers, std::size_t tasks)
     result.speedup =
         result.nestedTasksPerSec / result.legacyNestedTasksPerSec;
 
-    { // Forced-steal scenario: one worker floods its own deque (a
-      // worker-thread submit goes to the submitter's deque) and then
-      // keeps its worker busy until the backlog drains, so the other
-      // workers can only make progress by stealing.
-        th::ThreadPool pool(workers);
-        const std::uint64_t before = sink.load();
-        Timer timer;
-        pool.submit([&pool, &sink, tasks, before, workers] {
-            for (std::size_t i = 0; i < tasks; ++i)
-                pool.submit([&sink] { tinyWork(sink); });
-            while (workers > 1 && sink.load() - before < tasks)
-                std::this_thread::yield();
-        });
-        pool.waitIdle();
-        const double elapsed = timer.elapsedSeconds();
-        result.stealsPerSec =
-            static_cast<double>(pool.stats().stolen) / elapsed;
-    }
-
     { // End to end through the executor (span gate + commit lane).
         stats::exec::ThreadExecutor executor(workers);
         std::atomic<std::uint64_t> completed{0};
@@ -457,8 +449,8 @@ runConfig(int workers, std::size_t tasks)
       // a zero-cost bootstrap task seeds the first windows from its
       // own completion callback, so every window is made inside the
       // lane and the pipeline's counter needs no lock. The first
-      // epoch warms the executor's record freelist and the pool's
-      // node freelists; the second epoch is measured, and the
+      // epoch warms the executor's record freelist and ready-queue
+      // storage; the second epoch is measured, and the
       // operator-new override at the top of this file counts every
       // heap allocation anyone performs during it.
         stats::exec::ThreadExecutor executor(workers);
@@ -555,7 +547,8 @@ writeJson(std::ostream &out, const std::vector<Result> &results,
         .field("smoke", smoke)
         .field("tasksPerConfig", tasks)
         .field("cpus", env.cpus)
-        .field("involuntaryCtxSwitches", env.involuntaryCtxSwitches);
+        .field("involuntaryCtxSwitches", env.involuntaryCtxSwitches)
+        .field("cpuToWall", env.cpuToWall);
     json.key("results").beginArray();
     for (const Result &r : results) {
         json.beginObject()
@@ -569,7 +562,6 @@ writeJson(std::ostream &out, const std::vector<Result> &results,
             .field("nestedTasksPerSec", r.nestedTasksPerSec)
             .field("legacyNestedTasksPerSec", r.legacyNestedTasksPerSec)
             .field("speedup", r.speedup)
-            .field("stealsPerSec", r.stealsPerSec)
             .field("executorTasksPerSec", r.executorTasksPerSec)
             .field("engineTasksPerSec", r.engineTasksPerSec)
             .field("engineAllocsPerTask", r.engineAllocsPerTask)
@@ -616,15 +608,19 @@ main(int argc, char **argv)
     Environment env;
     env.cpus = allowedCpus();
     const std::int64_t switches_before = involuntaryCtxSwitches();
+    const double cpu_before = processCpuSeconds();
+    const Timer wall;
     std::vector<Result> results;
     for (int workers : {1, 2, 4, 8})
         results.push_back(runConfig(workers, tasks));
     env.involuntaryCtxSwitches =
         involuntaryCtxSwitches() - switches_before;
+    env.cpuToWall =
+        (processCpuSeconds() - cpu_before) / wall.elapsedSeconds();
 
     stats::support::TextTable table(
         {"workers", "submit ns", "batch ns", "ext tasks/s", "ext x",
-         "nested tasks/s", "legacy nested/s", "speedup", "steals/s",
+         "nested tasks/s", "legacy nested/s", "speedup",
          "exec tasks/s", "engine tasks/s", "allocs/task"});
     const auto fmt = [](double v) {
         return stats::support::TextTable::formatDouble(v, 1);
@@ -637,7 +633,7 @@ main(int argc, char **argv)
                       fmt(r.batchSubmitNsPerTask), fmt(r.newTasksPerSec),
                       ratio(r.externalSpeedup), fmt(r.nestedTasksPerSec),
                       fmt(r.legacyNestedTasksPerSec), ratio(r.speedup),
-                      fmt(r.stealsPerSec), fmt(r.executorTasksPerSec),
+                      fmt(r.executorTasksPerSec),
                       fmt(r.engineTasksPerSec),
                       stats::support::TextTable::formatDouble(
                           r.engineAllocsPerTask, 4)});
@@ -659,7 +655,8 @@ main(int argc, char **argv)
         const stats::benchx::Baseline baseline(check_path);
         std::cout << "check environment: " << env.cpus
                   << " cpus, " << env.involuntaryCtxSwitches
-                  << " involuntary context switches\n";
+                  << " involuntary context switches, "
+                  << env.cpuToWall << " cpu/wall\n";
         // The gate holds at EVERY measured worker count, not just the
         // widest: submit latency is bounded relative to the baseline,
         // and the speedup/allocation floors are absolute (they ARE

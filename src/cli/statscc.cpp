@@ -269,17 +269,15 @@ trackName(std::int32_t track)
     return "exec " + std::to_string(track);
 }
 
-/** Steal/park and commit-lane activity at a glance. */
+/** Park and commit-lane activity at a glance. */
 void
 printSchedulerFooter(const std::vector<obs::Event> &events)
 {
-    std::size_t steals = 0;
     std::size_t parks = 0;
     std::size_t unparks = 0;
     std::size_t lane_enqueues = 0;
     for (const auto &event : events) {
         switch (event.type) {
-          case obs::EventType::TaskStolen:   ++steals;  break;
           case obs::EventType::WorkerPark:   ++parks;   break;
           case obs::EventType::WorkerUnpark: ++unparks; break;
           case obs::EventType::CommitLaneEnqueue:
@@ -289,8 +287,8 @@ printSchedulerFooter(const std::vector<obs::Event> &events)
         }
     }
     // Real-thread runs only; simulated runs legitimately show zeros.
-    std::cout << "\nscheduler: " << steals << " steals, " << parks
-              << " parks, " << unparks << " unparks, " << lane_enqueues
+    std::cout << "\nscheduler: " << parks << " parks, " << unparks
+              << " unparks, " << lane_enqueues
               << " commit-lane enqueues\n";
 }
 

@@ -260,8 +260,7 @@ void
 ThreadExecutor::submit(Task task)
 {
     pushReady(std::move(task));
-    threading::PoolTask pooled = token();
-    _pool.inject({&pooled, 1});
+    _pool.submit(token());
 }
 
 void
@@ -272,7 +271,7 @@ ThreadExecutor::submitBatch(std::vector<Task> tasks)
     std::vector<threading::PoolTask> pooled(tasks.size());
     for (auto &one : pooled)
         one = token();
-    _pool.inject(pooled);
+    _pool.submitBatch(std::move(pooled));
 }
 
 void

@@ -17,11 +17,11 @@
  * interchangeable tokens: the worker that runs one pops the
  * lowest-group ready record, checks its cancel token there, and runs
  * it (a cancelled record skips its body but still completes). Tokens
- * enter the pool through its shared FIFO injector (`inject`), never
- * through the submitting worker's next-task slot or deque, so a ready
- * task never waits behind a busy worker. The queue is a binary heap
- * under one mutex whose storage keeps its capacity, so the submit →
- * run → commit round trip stays allocation-free in steady state.
+ * go through the pool's one shared FIFO queue, from any thread, so a
+ * ready task never waits behind a busy worker. The ready queue is a
+ * binary heap under one mutex whose storage keeps its capacity, so the
+ * submit → run → commit round trip stays allocation-free in steady
+ * state.
  * SimExecutor stays strict FIFO (docs/INTERNALS.md §3).
  *
  * Completion runs in the commit lane — the serialized region every
@@ -80,7 +80,7 @@ class ThreadExecutor : public Executor
     double now() const override;
     int concurrency() const override;
 
-    /** The pool's scheduler counters (steals, parks, ...). */
+    /** The pool's scheduler counters (executed, parks, ...). */
     threading::ThreadPool::Stats schedulerStats() const
     {
         return _pool.stats();

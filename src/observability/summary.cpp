@@ -170,8 +170,6 @@ printSummaryTable(std::ostream &out, const TraceSummary &summary)
     table.addRow({"body time (s)", fmt(summary.bodySeconds)});
     table.addRow({"re-exec time (s)", fmt(summary.reexecSeconds)});
     table.addRow({"recovery time (s)", fmt(summary.recoverySeconds)});
-    table.addRow({"tasks stolen",
-                  std::to_string(summary.count(EventType::TaskStolen))});
     table.addRow({"worker parks",
                   std::to_string(summary.count(EventType::WorkerPark))});
     table.addRow({"worker unparks",

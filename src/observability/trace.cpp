@@ -26,7 +26,6 @@ eventTypeName(EventType type)
       case EventType::Abort:            return "Abort";
       case EventType::FrontierAdvance:  return "FrontierAdvance";
       case EventType::TaskCancelled:    return "TaskCancelled";
-      case EventType::TaskStolen:       return "TaskStolen";
       case EventType::WorkerPark:       return "WorkerPark";
       case EventType::WorkerUnpark:     return "WorkerUnpark";
       case EventType::QueueDepth:       return "QueueDepth";
@@ -78,7 +77,6 @@ bool
 isSchedulerEvent(EventType type)
 {
     switch (type) {
-      case EventType::TaskStolen:
       case EventType::WorkerPark:
       case EventType::WorkerUnpark:
       case EventType::QueueDepth:

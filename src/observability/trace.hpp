@@ -74,13 +74,12 @@ enum class EventType : std::uint8_t
     FrontierAdvance,  ///< Commit frontier moved (arg: new frontier).
     TaskCancelled,    ///< Tagged task skipped via its cancel token.
 
-    // Scheduler instants (recorded by the work-stealing thread pool
-    // on the emitting worker's own track; group is always -1).
-    TaskStolen,   ///< Task stolen from another worker (arg: victim).
+    // Scheduler instants (recorded by the thread pool on the emitting
+    // worker's own track; group is always -1).
     WorkerPark,   ///< Worker blocked after its spin phase (arg: 0).
     WorkerUnpark, ///< Parked worker woke up (arg: 0).
-    QueueDepth,   ///< Pre-park snapshot: inputBegin = own deque depth,
-                  ///< inputEnd = shared-queue depth, arg = pool pending.
+    QueueDepth,   ///< Pre-park snapshot: inputBegin = -1, inputEnd =
+                  ///< shared-queue depth, arg = pool pending.
 
     // Record/replay instants (recorded by the engine and executors
     // when the replay session or a fault plan is engaged; see
@@ -112,8 +111,8 @@ enum class EventType : std::uint8_t
                      ///< cache entries after the hit).
 };
 
-inline constexpr int kEventTypeCount = 30;
-inline constexpr int kSchemaVersion = 7;
+inline constexpr int kEventTypeCount = 29;
+inline constexpr int kSchemaVersion = 8;
 
 /** Stable name of an event type (as documented in the schema). */
 const char *eventTypeName(EventType type);

@@ -135,8 +135,11 @@ class MpmcBoundedQueue
 
     std::unique_ptr<Cell[]> _cells;
     std::size_t _mask = 0;
-    std::atomic<std::size_t> _enqueuePos;
-    std::atomic<std::size_t> _dequeuePos;
+    // One cache line each: producers and consumers on different cores
+    // would otherwise invalidate each other's position, and the
+    // read-only `_cells`/`_mask`, on every operation.
+    alignas(64) std::atomic<std::size_t> _enqueuePos;
+    alignas(64) std::atomic<std::size_t> _dequeuePos;
 };
 
 } // namespace stats::threading

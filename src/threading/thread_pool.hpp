@@ -1,32 +1,20 @@
 /**
  * @file
- * A fixed-size work-stealing thread pool.
+ * A fixed-size thread pool with one shared task queue.
  *
  * The paper's runtime "includes an efficient thread pool
  * implementation (shared with all state dependences) to minimize
- * thread creation overhead" (section 3.4). The original reproduction
- * funneled every job through one mutex-protected queue; this version
- * is a work-stealing scheduler so that dispatch overhead stops
- * competing with the parallelism the speculation engine exists to
- * create (docs/INTERNALS.md "The work-stealing scheduler"):
+ * thread creation overhead" (section 3.4). Every submission, from
+ * any thread, takes the same path (docs/INTERNALS.md §4 "The thread
+ * pool"):
  *
- *  - each worker owns a Chase–Lev deque (owner push/pop at the
- *    bottom, lock-free steal at the top); jobs submitted from a
- *    worker thread go to its own deque, external submissions — and
- *    inject(), from any thread — go to a bounded lock-free injector
- *    queue (with a mutex-protected overflow list so submission never
- *    blocks or fails);
- *  - a worker that submits while its "next task" slot is empty
- *    bypasses the deque entirely: the task runs immediately after
- *    the current one, so continuation chains (the engine's
- *    commit-cascade pattern) pay no queue, fence, or wake cost;
- *  - idle workers *steal half*: one CAS per item, but a successful
- *    round takes up to half the victim's visible backlog, runs the
- *    oldest task and keeps the rest in the thief's own deque — one
- *    migration amortizes the whole batch (docs/INTERNALS.md §4);
- *  - workers spin a bounded number of rounds before parking on a
- *    per-worker condition variable with a timed backstop; submissions
- *    only pay a wake syscall when no worker is spinning;
+ *  - tasks travel by value through a bounded lock-free MPMC injector
+ *    queue, with a mutex-protected overflow list behind it so
+ *    submission never blocks or fails; workers pop in submission
+ *    order, so nothing waits behind a busy worker;
+ *  - idle workers spin a bounded number of rounds before parking on
+ *    a per-worker condition variable with a timed backstop;
+ *    submissions only pay a wake syscall when no worker is spinning;
  *  - completion accounting is a single atomic pending counter;
  *    waitIdle() blocks on it without touching any queue lock;
  *  - submitBatch() enqueues a whole group of tasks in one operation
@@ -41,9 +29,9 @@
  * destructor runs is undefined (as it was for the global-queue pool).
  *
  * Scheduler observability: with the trace layer active the pool
- * records TaskStolen, WorkerPark, WorkerUnpark, and QueueDepth events
- * (schema: docs/OBSERVABILITY.md §2); lightweight counters
- * (`stats()`) are always on.
+ * records WorkerPark, WorkerUnpark, and QueueDepth events (schema:
+ * docs/OBSERVABILITY.md §2); lightweight counters (`stats()`) are
+ * always on.
  */
 
 #pragma once
@@ -83,7 +71,7 @@ struct PoolTask
     CancelFlag cancel;
 };
 
-/** Fixed-size pool of workers executing jobs via work stealing. */
+/** Fixed-size pool of workers sharing one FIFO task queue. */
 class ThreadPool
 {
   public:
@@ -99,8 +87,9 @@ class ThreadPool
         std::uint64_t submitted = 0; ///< Tasks accepted.
         std::uint64_t executed = 0;  ///< Tasks run (incl. cancelled).
         std::uint64_t cancelled = 0; ///< Tasks skipped via their flag.
-        std::uint64_t stolen = 0;    ///< Tasks taken from another worker.
-        std::uint64_t stealBatches = 0; ///< Steal rounds that got >= 1.
+        /// Always 0: the pool has no per-worker queues to steal
+        /// from. Kept only because e2ebench still reads it.
+        std::uint64_t stolen = 0;
         std::uint64_t parks = 0;     ///< Times a worker blocked.
         std::uint64_t unparks = 0;   ///< Times a parked worker woke.
     };
@@ -150,15 +139,6 @@ class ThreadPool
     /** Enqueue several tasks with a single wake decision. */
     void submitBatch(std::vector<PoolTask> tasks);
 
-    /**
-     * Enqueue tasks on the shared FIFO injector, from any thread, with
-     * a single wake decision. Unlike submit(), a worker-side call never
-     * uses the submitter's next-task slot or deque, so the tasks are
-     * never stuck behind a busy worker: any idle worker takes them, in
-     * submission order, without stealing.
-     */
-    void inject(std::span<PoolTask> tasks);
-
     /** Block until no submitted job (or job it spawned) remains. */
     void waitIdle();
 
@@ -170,43 +150,38 @@ class ThreadPool
     Stats stats() const;
 
   private:
-    struct TaskNode;
     struct Worker;
 
     [[noreturn]] static void panicEmptyJob();
 
     void workerLoop(int index);
     bool runOneTask(Worker &self);
-    TaskNode *tryStealFrom(Worker &self, bool desperate);
     bool popShared(PoolTask &out);
     void pushShared(std::span<PoolTask> tasks);
-    void enqueue(PoolTask task);
     bool anyWorkVisible() const;
     void wakeWorkers(std::size_t want);
-    void wakeForLocalSubmit();
     void runTask(PoolTask task, Worker &self);
-    void runNode(TaskNode *node, Worker &self);
     void finishMany(std::size_t n);
     void park(Worker &self);
 
     std::vector<std::unique_ptr<Worker>> _workers;
-    // External submissions carry PoolTask by value: with the job
-    // wrapper's inline storage a small closure travels from submit()
-    // to a worker with zero heap traffic. Only worker-local deques
-    // need stable pointers (Chase-Lev slots), so only worker-side
-    // submissions use heap nodes — recycled through a per-worker
-    // freelist.
+    // Tasks travel by value: with the job wrapper's inline storage a
+    // small closure goes from submit() to a worker with zero heap
+    // traffic.
     MpmcBoundedQueue<PoolTask> _injector;
     std::mutex _overflowMutex;
     std::deque<PoolTask> _overflow;
     std::atomic<std::size_t> _overflowSize{0};
 
-    std::atomic<std::size_t> _pending{0};
-    std::atomic<int> _spinners{0};
+    // `_pending` takes an RMW on every submit and every finished run,
+    // while every submit reads `_parkedCount`: on one shared cache
+    // line, each submit from another core would miss on both.
+    alignas(64) std::atomic<std::size_t> _pending{0};
+    alignas(64) std::atomic<int> _spinners{0};
     std::atomic<int> _parkedCount{0};
     std::atomic<bool> _shutdown{false};
 
-    std::mutex _idleMutex;
+    alignas(64) std::mutex _idleMutex;
     std::condition_variable _idleCv;
     std::atomic<int> _idleWaiters{0};
 

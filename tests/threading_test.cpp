@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -73,6 +74,21 @@ TEST(ThreadPool, BlockingJobCannotStrandItsOwnSubmission)
         pool.waitIdle();
         ASSERT_EQ(ran.load(), 3 * (round + 1)) << "round " << round;
     }
+}
+
+TEST(ThreadPool, WorkerSubmissionsRunInSubmissionOrder)
+{
+    // Every submission, from a worker too, joins the one shared FIFO
+    // queue: the lone worker runs a job's spawns in the order the job
+    // made them, not newest first.
+    ThreadPool pool(1);
+    std::string order;
+    pool.submit([&pool, &order] {
+        for (char name : {'A', 'B', 'C', 'D'})
+            pool.submit([&order, name] { order += name; });
+    });
+    pool.waitIdle();
+    EXPECT_EQ(order, "ABCD");
 }
 
 TEST(ThreadPool, WaitIdleOnEmptyPoolReturns)
